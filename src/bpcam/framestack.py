@@ -15,10 +15,12 @@ Layout: a fixed 60-byte little-endian header followed by frames back to back.
 
 Raw frames store each pixel as int32 fixed point in units of 1/256 electron
 (row-major).  Binary frames store each row bit-packed MSB-first, padded to a
-whole byte, so one frame is height * ceil(width / 8) bytes.  The reader
-validates the header and that the payload length is a whole number of
-frames; it is cheap to construct and re-iterable (every iteration opens its
-own handle), so it can be streamed twice by calibration passes.
+whole byte, so one frame is height * ceil(width / 8) bytes.  The writer
+moves a finished stack onto its path only when it closes cleanly, so a
+failed or killed write never leaves a stack there that looks complete.  The
+reader validates the header and that the payload length is a whole number
+of frames; it is cheap to construct and re-iterable (every iteration opens
+its own handle), so it can be streamed twice by calibration passes.
 """
 
 from __future__ import annotations
@@ -108,7 +110,12 @@ def _parse_header(raw: bytes, path) -> StackHeader:
 
 
 class StackWriter:
-    """Sequential writer; patches the frame count into the header on close."""
+    """Sequential writer into a sibling temporary file.
+
+    `close` (or a `with` block that ends cleanly) patches the frame count
+    into the header and moves the file onto `path`; a `with` block that
+    raises deletes it and leaves any earlier file at `path`.
+    """
 
     def __init__(self, path, *, kind: int, plane, shape: tuple[int, int],
                  seed: int = 0, config_digest: bytes = b"\x00" * 32):
@@ -129,7 +136,8 @@ class StackWriter:
         self.path = os.fspath(path)
         self.header = StackHeader(kind, plane, w, h, 0, int(seed), bytes(config_digest))
         self._n = 0
-        self._fh = open(self.path, "wb")
+        self._tmp_path = f"{self.path}.{os.getpid()}.tmp"
+        self._fh = open(self._tmp_path, "wb")
         self._fh.write(self.header.pack())
 
     def write(self, frame) -> None:
@@ -149,10 +157,22 @@ class StackWriter:
     def close(self) -> None:
         if self._fh is None:
             return
-        self._fh.seek(_FRAME_COUNT_OFFSET)
-        self._fh.write(struct.pack("<I", self._n))
+        try:
+            self._fh.seek(_FRAME_COUNT_OFFSET)
+            self._fh.write(struct.pack("<I", self._n))
+            self._fh.close()
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            self._discard()
+            raise
+        self._fh = None
+
+    def _discard(self) -> None:
+        if self._fh is None:
+            return
         self._fh.close()
         self._fh = None
+        os.unlink(self._tmp_path)
 
     @property
     def n_frames(self) -> int:
@@ -161,8 +181,11 @@ class StackWriter:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
         return False
 
 

@@ -10,12 +10,14 @@ numbers and bootstrap errors.
 Every random draw comes from a substream keyed by (seed, plane code, frame
 index), so stacks are bit-reproducible and any frame can be regenerated in
 isolation.  That makes the planes independent after the dark calibration:
-`simulate` runs one process per plane and `analyze` one accumulator thread
-per plane, without changing a byte of output.
+`simulate` runs the first plane in the caller and the others in one worker
+process, and `analyze` runs one accumulator thread per plane, without
+changing a byte of output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import time
@@ -116,41 +118,51 @@ class SimulateResult:
 def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) -> SimulateResult:
     """Generate dark + photon stacks under `config`, writing to `out_dir`.
 
-    After the dark calibration each plane is simulated in its own worker
-    process (spawned, so a script calling this keeps its top-level code
-    under ``if __name__ == "__main__":``).  The stacks do not depend on
-    which planes run together.
+    A call with more than one plane starts one spawned worker process before
+    it writes the darks, so the worker imports the package while the caller
+    exposes the darks and calibrates.  The caller then simulates the first
+    plane and the worker the others.  The worker is spawned, so a script
+    calling this keeps its top-level code under
+    ``if __name__ == "__main__":``.  A single-plane call starts no process.
+    The stacks do not depend on which planes run together or where.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config.sim_digest()
-
-    dark_cam = config.camera(None)
-    dark_path = out / "dark.bpcm"
-    with StackWriter(dark_path, kind=KIND_RAW, plane=PLANE_DARK, shape=config.roi,
-                     seed=config.seed, config_digest=digest) as wr:
-        for i in range(config.n_dark_frames):
-            rng = substream(config.seed, PLANE_DARK, i)
-            frame, _ = expose(_NO_IMPACTS, dark_cam, rng)
-            wr.write(frame)
-    darks = StackReader(dark_path)
-    cal = calibrate(darks)
-    if config.threshold_k is not None:
-        k = float(config.threshold_k)
-    else:
-        k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
-
-    # one process per plane: the per-frame work holds the GIL, so threads
-    # would not overlap
     planes = [Plane(p) for p in planes]
-    with ProcessPoolExecutor(max_workers=max(len(planes), 1),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = {plane.value: pool.submit(_simulate_plane, config, str(out), digest, cal, k,
-                                            plane)
-                   for plane in planes}
+
+    # a process, not a thread: the per-frame work holds the GIL
+    with (ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+          if len(planes) > 1 else contextlib.nullcontext()) as worker:
+        if worker is not None:
+            # its result is not read: a worker that fails to start breaks
+            # the pool, and the plane's future raises that
+            worker.submit(_start_worker)
+
+        dark_cam = config.camera(None)
+        dark_path = out / "dark.bpcm"
+        with StackWriter(dark_path, kind=KIND_RAW, plane=PLANE_DARK, shape=config.roi,
+                         seed=config.seed, config_digest=digest) as wr:
+            for i in range(config.n_dark_frames):
+                rng = substream(config.seed, PLANE_DARK, i)
+                frame, _ = expose(_NO_IMPACTS, dark_cam, rng)
+                wr.write(frame)
+        darks = StackReader(dark_path)
+        cal = calibrate(darks)
+        if config.threshold_k is not None:
+            k = float(config.threshold_k)
+        else:
+            k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
+
+        futures = {plane.value: worker.submit(_simulate_plane, config, str(out), digest, cal, k,
+                                              plane)
+                   for plane in planes[1:]}
         stack_paths: dict = {}
         plane_stats: dict = {}
+        for plane in planes[:1]:
+            stack_paths[plane.value], plane_stats[plane.value] = _simulate_plane(
+                config, str(out), digest, cal, k, plane)
         for name, fut in futures.items():
             stack_paths[name], plane_stats[name] = fut.result()
 
@@ -168,6 +180,10 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     with open(out / "sim_summary.json", "w", encoding="utf-8") as fh:
         json.dump(result.summary(), fh, indent=2)
     return result
+
+
+def _start_worker() -> None:
+    """Nothing: unpickling it makes a fresh worker import this module."""
 
 
 def _simulate_plane(config: RunConfig, out_dir: str, digest: bytes, calibration: Calibration,

@@ -70,6 +70,27 @@ def test_frame_count_patched_on_close(tmp_path):
     assert len(StackReader(path)) == 2
 
 
+def test_stack_appears_at_its_path_only_when_closed(tmp_path):
+    path = tmp_path / "s.bpcm"
+    with StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3)) as wr:
+        wr.write(np.eye(3, dtype=bool))
+        assert not path.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["s.bpcm"]
+    assert len(StackReader(path)) == 1
+
+
+def test_failed_write_keeps_the_earlier_stack(tmp_path):
+    path = tmp_path / "s.bpcm"
+    write_stack(path, [np.eye(3, dtype=bool)], KIND_BINARY)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3)) as wr:
+            wr.write(np.zeros((3, 3), dtype=bool))
+            raise RuntimeError("interrupted mid-stack")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.bpcm"]
+
+
 def test_describe_reports_header_fields(tmp_path):
     rd = write_stack(tmp_path / "s.bpcm", [np.zeros((2, 9), dtype=bool)],
                      KIND_BINARY, "image", seed=5)

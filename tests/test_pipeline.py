@@ -1,11 +1,12 @@
 """End-to-end simulate/analyze wiring on a reduced but honest acquisition."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from bpcam import Plane, RunConfig, StackReader
+from bpcam import Plane, RunConfig, StackReader, pipeline
 from bpcam.correlate import Mode, accumulate, subtract
 from bpcam.errors import ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
@@ -89,6 +90,50 @@ def test_simulate_single_plane(tmp_path):
     simulate(cfg, tmp_path / "both")
     assert (tmp_path / "one" / "image.bpcm").read_bytes() == \
         (tmp_path / "both" / "image.bpcm").read_bytes()
+
+
+def test_single_plane_simulate_starts_no_process(tmp_path, monkeypatch):
+    def no_processes(*args, **kwargs):
+        raise AssertionError("a single-plane simulate must not start a process")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_processes)
+    sim = simulate(RunConfig().replace(**TINY), tmp_path, planes=(Plane.IMAGE,))
+    assert set(sim.stack_paths) == {"image"}
+
+
+def test_two_plane_simulate_starts_one_worker_and_reaps_it(tmp_path, monkeypatch):
+    started = []
+    executor = pipeline.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+    sim = simulate(RunConfig().replace(**TINY), tmp_path)
+    assert started == [1]
+    assert set(sim.stack_paths) == {"image", "farfield"}
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_plane_failure_is_raised_and_reaped(tmp_path):
+    # the far-field plane runs in the worker; a directory where its stack
+    # must go makes it fail there
+    (tmp_path / "farfield.bpcm").mkdir()
+    with pytest.raises(OSError, match="farfield"):
+        simulate(RunConfig().replace(**TINY), tmp_path)
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "farfield.bpcm").is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_plane_order_does_not_change_the_stacks(tmp_path):
+    cfg = RunConfig().replace(**TINY)
+    simulate(cfg, tmp_path / "default")
+    simulate(cfg, tmp_path / "swapped", planes=(Plane.FAR_FIELD, Plane.IMAGE))
+    for name in ("dark.bpcm", "image.bpcm", "farfield.bpcm"):
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "swapped" / name).read_bytes()
 
 
 def test_pinned_threshold_skips_calibrated_k(tmp_path):
