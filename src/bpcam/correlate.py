@@ -13,8 +13,11 @@ uncorrelated structure (hot pixels, vignetting, noise counts) cancels.
 
 Two interchangeable accumulation routes are kept deliberately:
 
-  * sparse: enumerate pairs from the photon coordinate lists and histogram
-    them with bincount - exact integer counting, fast for dilute frames;
+  * sparse: give each fired pixel (r, c) the flat map key k = r(2W-1) + c,
+    so that a pair's sum bin is k + k' and its difference bin is
+    k' - k + (H-1)(2W-1) + (W-1); one outer add or subtract over the key
+    vectors enumerates every pair, and bincount histograms them - exact
+    integer counting, fast for dilute frames;
   * spectral: zero-padded FFTs, accumulating sum |F|^2, sum F^2 and the
     adjacent-frame cross products in the frequency domain with a single
     inverse transform at the end - O(HW log HW) per frame regardless of
@@ -187,7 +190,6 @@ class StackAccumulator:
     """
 
     def __init__(self, roi: tuple[int, int], sparse_threshold: int = SPARSE_THRESHOLD,
-                 collect_marginals: bool = True,
                  modes: tuple = (Mode.DIFFERENCE, Mode.SUM)):
         h, w = roi
         if h < 1 or w < 1:
@@ -197,12 +199,13 @@ class StackAccumulator:
             raise ParameterError("at least one accumulation mode is required")
         self.roi = (int(h), int(w))
         self.sparse_threshold = int(sparse_threshold)
-        self.collect_marginals = collect_marginals
         self.modes = modes
         self._want_d = Mode.DIFFERENCE in modes
         self._want_s = Mode.SUM in modes
         self._map_shape = (2 * h - 1, 2 * w - 1)
         self._flat_size = self._map_shape[0] * self._map_shape[1]
+        # flat difference bin of a pair with zero offset
+        self._centre = (h - 1) * self._map_shape[1] + (w - 1)
         # sparse integer accumulators (flat)
         self._d_sig = np.zeros(self._flat_size, dtype=np.int64) if self._want_d else None
         self._d_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_d else None
@@ -233,9 +236,11 @@ class StackAccumulator:
 
     # -- per-frame work ----------------------------------------------------
 
-    def _positions(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r, c = np.nonzero(bits)
-        return r.astype(np.int64), c.astype(np.int64)
+    def _keys(self, bits: np.ndarray) -> np.ndarray:
+        """Flat map keys r(2W-1) + c of the fired pixels."""
+        w = self.roi[1]
+        q = np.flatnonzero(bits)
+        return q + (q // w) * (w - 1)
 
     def _transform(self, bits: np.ndarray) -> np.ndarray:
         # rfft2 of the zero-padded frame, skipping the all-zero pad rows in
@@ -244,34 +249,14 @@ class StackAccumulator:
         t = _fft.rfft(bits.astype(np.float64), n=self._pad[1], axis=1)
         return _fft.fft(t, n=self._pad[0], axis=0)
 
-    def _sparse_self(self, r: np.ndarray, c: np.ndarray):
-        h, w = self.roi
-        ncol = self._map_shape[1]
+    def _sparse_pairs(self, k1: np.ndarray, k2: np.ndarray, d_acc, s_acc):
+        """Count ordered pairs (first photon from keys k1, second from k2)."""
         if self._want_d:
-            dr = r[None, :] - r[:, None]
-            dc = c[None, :] - c[:, None]
-            lin = ((dr + h - 1) * ncol + (dc + w - 1)).ravel()
-            self._d_sig += np.bincount(lin, minlength=self._flat_size)
+            lin = np.subtract.outer(k2 + self._centre, k1).ravel()
+            d_acc += np.bincount(lin, minlength=self._flat_size)
         if self._want_s:
-            sr = r[None, :] + r[:, None]
-            sc = c[None, :] + c[:, None]
-            lin = (sr * ncol + sc).ravel()
-            self._s_sig += np.bincount(lin, minlength=self._flat_size)
-
-    def _sparse_cross(self, r1, c1, r2, c2):
-        """Ordered pairs: previous-frame photon (r1), current-frame photon (r2)."""
-        h, w = self.roi
-        ncol = self._map_shape[1]
-        if self._want_d:
-            dr = r2[None, :] - r1[:, None]
-            dc = c2[None, :] - c1[:, None]
-            lin = ((dr + h - 1) * ncol + (dc + w - 1)).ravel()
-            self._d_ref += np.bincount(lin, minlength=self._flat_size)
-        if self._want_s:
-            sr = r1[:, None] + r2[None, :]
-            sc = c1[:, None] + c2[None, :]
-            lin = (sr * ncol + sc).ravel()
-            self._s_ref += np.bincount(lin, minlength=self._flat_size)
+            lin = np.add.outer(k1, k2).ravel()
+            s_acc += np.bincount(lin, minlength=self._flat_size)
 
     def add(self, bits: np.ndarray):
         """Accumulate one binary frame (bool or 0/1 array of shape roi)."""
@@ -284,16 +269,14 @@ class StackAccumulator:
             bits = bits.astype(bool)
         n = int(np.count_nonzero(bits))
         self._ones.append(n)
-        if self.collect_marginals:
-            self._vcols.append(bits.sum(axis=0, dtype=np.int32))
-            self._vrows.append(bits.sum(axis=1, dtype=np.int32))
+        self._vcols.append(bits.sum(axis=0, dtype=np.int32))
+        self._vrows.append(bits.sum(axis=1, dtype=np.int32))
 
         sparse = n <= self.sparse_threshold
-        cur: dict = {"n": n, "bits": bits, "pos": None, "F": None}
+        cur: dict = {"n": n, "bits": bits, "keys": None, "F": None}
         if sparse:
-            r, c = self._positions(bits)
-            cur["pos"] = (r, c)
-            self._sparse_self(r, c)
+            k = cur["keys"] = self._keys(bits)
+            self._sparse_pairs(k, k, self._d_sig, self._s_sig)
             self._tot_sig_sparse += n * n
         else:
             F = cur["F"] = self._transform(bits)
@@ -307,11 +290,9 @@ class StackAccumulator:
         prev = self._prev
         if prev is not None:
             npairs = prev["n"] * n
-            both_sparse = prev["pos"] is not None and cur["pos"] is not None
+            both_sparse = prev["keys"] is not None and cur["keys"] is not None
             if both_sparse and npairs <= self.sparse_threshold ** 2:
-                r1, c1 = prev["pos"]
-                r2, c2 = cur["pos"]
-                self._sparse_cross(r1, c1, r2, c2)
+                self._sparse_pairs(prev["keys"], cur["keys"], self._d_ref, self._s_ref)
                 self._tot_ref_sparse += npairs
             else:
                 if prev["F"] is None:
@@ -379,12 +360,10 @@ class StackAccumulator:
             if int(s_sig.sum()) != exp_sig or int(s_ref.sum()) != exp_ref:
                 raise ConsistencyError("pair-count conservation failed on the sum maps")
             summ = CorrelationMap(Mode.SUM, s_sig, s_ref, n_frames, n_frames - 1, self.roi)
-        marginals = {}
-        if self.collect_marginals:
-            marginals = {
-                "col": MarginalStack("col", np.vstack(self._vcols)),
-                "row": MarginalStack("row", np.vstack(self._vrows)),
-            }
+        marginals = {
+            "col": MarginalStack("col", np.vstack(self._vcols)),
+            "row": MarginalStack("row", np.vstack(self._vrows)),
+        }
         return StackResult(diff, summ, marginals, ones, self.roi)
 
 

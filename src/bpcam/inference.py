@@ -355,6 +355,7 @@ def axis_dimensionality(
     narrow: Mode,
     mask_halfwidth: int | None = None,
     narrow_window_px: int = 40,
+    narrow_fit: WidthEstimate | None = None,
 ) -> AxisDimensionality:
     """Mode count along one axis: coverage * (broad width / narrow width).
 
@@ -372,10 +373,12 @@ def axis_dimensionality(
     Var(x1) = (Var(x1+x2) + Var(x1-x2)) / 4, and the coverage factor
     erf(extent / (2 sqrt(2) sigma_marginal)) is the probability that a
     photon from the broad marginal lands on the sensor at all.
+    `narrow_fit` passes in a narrow-peak fit the caller already made with
+    the same arguments, so it is not repeated.
     """
     broad_mode = Mode.SUM if narrow is Mode.DIFFERENCE else Mode.DIFFERENCE
-    wn = fit_joint_width(joint, narrow, pitch_um, mask_halfwidth=mask_halfwidth,
-                         window_px=narrow_window_px)
+    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um, mask_halfwidth=mask_halfwidth,
+                                       window_px=narrow_window_px)
     wb = fit_joint_width(joint, broad_mode, pitch_um, mask_halfwidth=mask_halfwidth,
                          window_px=None, shaded=True)
     # widths as detected (no binning deconvolution): the mode count describes

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -63,6 +64,8 @@ from .sampler import generate_frame_events, substream
 _PLANE_CODE = {Plane.IMAGE: PLANE_IMAGE, Plane.FAR_FIELD: PLANE_FARFIELD}
 _PLANE_FILE = {Plane.IMAGE: "image.bpcm", Plane.FAR_FIELD: "farfield.bpcm"}
 _NO_IMPACTS = np.empty((0, 2))
+#: the temporary file a `StackWriter` killed mid-stack leaves beside its stack
+_STALE_TMP = re.compile(r"(dark|image|farfield)\.bpcm\.\d+\.tmp")
 
 
 @dataclass
@@ -125,10 +128,15 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     calling this keeps its top-level code under
     ``if __name__ == "__main__":``.  A single-plane call starts no process.
     The stacks do not depend on which planes run together or where.
+    Temporary stack files left in `out_dir` by a killed earlier run are
+    deleted first.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("*.tmp"):
+        if _STALE_TMP.fullmatch(stale.name):
+            stale.unlink()
     digest = config.sim_digest()
     planes = [Plane(p) for p in planes]
 
@@ -454,7 +462,7 @@ def _bootstrap_errors(blocks_ip, blocks_ff, config, n_boot, scale_ip, scale_ff,
         out["sigma_pos_um"] = width.sigma_um
         out["cond_var_x_um2"] = width.sigma_um ** 2 * scale_ip ** 2
         ax_col = axis_dimensionality(joints["col"], pitch_um=pitch, extent_px=w,
-                                     narrow=Mode.DIFFERENCE)
+                                     narrow=Mode.DIFFERENCE, narrow_fit=width)
         if smeared:
             out["d_pos"] = ax_col.d_axis ** 2
         else:
@@ -469,7 +477,7 @@ def _bootstrap_errors(blocks_ip, blocks_ff, config, n_boot, scale_ip, scale_ff,
         out["sigma_mom_um"] = width.sigma_um
         out["cond_var_p_hbar2_per_um2"] = width.sigma_um ** 2 * scale_ff ** 2
         ax_col = axis_dimensionality(joints["col"], pitch_um=pitch, extent_px=w,
-                                     narrow=Mode.SUM)
+                                     narrow=Mode.SUM, narrow_fit=width)
         ax_row = axis_dimensionality(joints["row"], pitch_um=pitch, extent_px=h,
                                      narrow=Mode.SUM)
         out["d_mom"] = ax_col.d_axis * ax_row.d_axis

@@ -44,6 +44,16 @@ def random_stack(rng, h, w, n, p):
     return [rng.random((h, w)) < p for _ in range(n)]
 
 
+def corner_stack(h, w):
+    """Frames lit only at the ROI's corners: their pairs reach the extreme
+    difference bins (+/-(H-1), +/-(W-1)) and the sum bins 0 and 2H-2 / 2W-2."""
+    corners = np.zeros((h, w), dtype=bool)
+    corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    diagonal = np.zeros((h, w), dtype=bool)
+    diagonal[[0, -1], [0, -1]] = True
+    return [corners, diagonal, corners, diagonal[::-1]]
+
+
 def run_accumulator(frames, **kwargs):
     acc = StackAccumulator(frames[0].shape, **kwargs)
     for f in frames:
@@ -57,13 +67,13 @@ def run_accumulator(frames, **kwargs):
     ids=["all-sparse", "all-spectral", "mixed"],
 )
 def test_both_routes_match_brute_force(sparse_threshold, rng):
-    frames = random_stack(rng, 7, 9, 6, 0.2)
-    d_sig, d_ref, s_sig, s_ref = brute_force_maps(frames)
-    res = run_accumulator(frames, sparse_threshold=sparse_threshold)
-    np.testing.assert_array_equal(res.difference.signal, d_sig)
-    np.testing.assert_array_equal(res.difference.reference, d_ref)
-    np.testing.assert_array_equal(res.sum_map.signal, s_sig)
-    np.testing.assert_array_equal(res.sum_map.reference, s_ref)
+    for frames in (random_stack(rng, 7, 9, 6, 0.2), corner_stack(4, 13), corner_stack(13, 4)):
+        d_sig, d_ref, s_sig, s_ref = brute_force_maps(frames)
+        res = run_accumulator(frames, sparse_threshold=sparse_threshold)
+        np.testing.assert_array_equal(res.difference.signal, d_sig)
+        np.testing.assert_array_equal(res.difference.reference, d_ref)
+        np.testing.assert_array_equal(res.sum_map.signal, s_sig)
+        np.testing.assert_array_equal(res.sum_map.reference, s_ref)
 
 
 @settings(max_examples=20)

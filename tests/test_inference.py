@@ -1,5 +1,6 @@
 """Width fitting, saturation correction, variance inference, bootstrap."""
 
+import dataclasses
 import json
 import math
 
@@ -197,6 +198,14 @@ def test_axis_dimensionality_counts_resolvable_modes():
     assert est.d_axis == pytest.approx(est.coverage * est.ratio)
     assert est.d_axis == pytest.approx(20.0, rel=0.05)
     assert est.substituted_from is None
+    # a narrow fit made beforehand with the same arguments gives the same
+    # estimate, and a passed-in fit is used as it is
+    narrow = fit_joint_width(joint, Mode.DIFFERENCE, 16.0, window_px=40)
+    assert axis_dimensionality(joint, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
+                               narrow_fit=narrow) == est
+    wider = dataclasses.replace(narrow, sigma_px=1.1 * narrow.sigma_px)
+    assert axis_dimensionality(joint, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
+                               narrow_fit=wider).sigma_narrow_um == 1.1 * narrow.sigma_px * 16.0
 
 
 def test_axis_dimensionality_rejects_inverted_ordering():

@@ -136,6 +136,24 @@ def test_plane_order_does_not_change_the_stacks(tmp_path):
             (tmp_path / "swapped" / name).read_bytes()
 
 
+def test_simulate_removes_stale_temporary_stacks(tmp_path):
+    cfg = RunConfig().replace(**TINY)
+    out = tmp_path / "run"
+    out.mkdir()
+    # what a writer killed mid-stack leaves behind, beside unrelated files
+    stale = [out / "dark.bpcm.4242.tmp", out / "image.bpcm.17.tmp"]
+    kept = [out / "image.bpcm.x.tmp", out / "notes.bpcm.17.tmp"]
+    for path in stale + kept:
+        path.write_bytes(b"BPCM partial")
+    simulate(cfg, out, planes=(Plane.IMAGE,))
+    assert not any(path.exists() for path in stale)
+    assert all(path.exists() for path in kept)
+    simulate(cfg, tmp_path / "clean", planes=(Plane.IMAGE,))
+    for name in ("dark.bpcm", "image.bpcm"):
+        assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    assert len(StackReader(out / "image.bpcm")) == cfg.n_frames
+
+
 def test_pinned_threshold_skips_calibrated_k(tmp_path):
     cfg = RunConfig().replace(**TINY, threshold_k=3.5)
     sim = simulate(cfg, tmp_path, planes=(Plane.IMAGE,))
