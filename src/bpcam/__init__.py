@@ -76,7 +76,6 @@ from .sampler import (
     FluxConfig,
     FrameEvents,
     generate_frame_events,
-    sample_pair,
     sample_pairs,
     substream,
 )

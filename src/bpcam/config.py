@@ -129,7 +129,6 @@ class RunConfig:
             tail_scale=self.tail_scale,
             smear_prob=smear,
             full_well=self.full_well,
-            threshold_k=self.threshold_k if self.threshold_k is not None else 1.0,
         )
 
     @property

@@ -52,7 +52,6 @@ class CameraParams:
     tail_scale: float = 30.0
     smear_prob: float = 0.0
     full_well: float = 5.0e5
-    threshold_k: float = 1.0  # nominal; pipelines usually calibrate instead
 
     def __post_init__(self):
         h, w = self.roi

@@ -10,9 +10,9 @@ numbers and bootstrap errors.
 Every random draw comes from a substream keyed by (seed, plane code, frame
 index), so stacks are bit-reproducible and any frame can be regenerated in
 isolation.  That makes the planes independent after the dark calibration:
-`simulate` runs the first plane in the caller and the others in one worker
-process, and `analyze` runs one accumulator thread per plane, without
-changing a byte of output.
+`simulate` runs the first plane in the caller and the others in one forked
+worker process, and `analyze` runs one accumulator thread per plane, without
+changing a byte of output.  The fork needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class PlaneSimStats:
     n_smeared: int = 0
     total_ones: int = 0
     n_pixels: int = 0
+    elapsed_s: float = 0.0  # timed in the process that ran the plane
 
     @property
     def mean_occupancy(self) -> float:
@@ -99,7 +100,9 @@ class SimulateResult:
     threshold_k: float
     sigma_noise: float
     dark_centre: float
+    n_unclipped_fallback: int
     plane_stats: dict
+    dark_s: float  # darks plus calibration, in the caller
     elapsed_s: float
 
     def summary(self) -> dict:
@@ -110,7 +113,9 @@ class SimulateResult:
             "threshold_k": self.threshold_k,
             "sigma_noise": self.sigma_noise,
             "dark_centre": self.dark_centre,
+            "n_unclipped_fallback": self.n_unclipped_fallback,
             "planes": {name: st.as_dict() for name, st in self.plane_stats.items()},
+            "dark_s": self.dark_s,
             "elapsed_s": self.elapsed_s,
             "config": self.config.as_dict(),
             "config_digest": self.config.digest().hex(),
@@ -121,13 +126,12 @@ class SimulateResult:
 def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) -> SimulateResult:
     """Generate dark + photon stacks under `config`, writing to `out_dir`.
 
-    A call with more than one plane starts one spawned worker process before
-    it writes the darks, so the worker imports the package while the caller
-    exposes the darks and calibrates.  The caller then simulates the first
-    plane and the worker the others.  The worker is spawned, so a script
-    calling this keeps its top-level code under
-    ``if __name__ == "__main__":``.  A single-plane call starts no process.
-    The stacks do not depend on which planes run together or where.
+    After the darks and the calibration, the caller simulates the first
+    plane and one worker process the others.  The worker is forked from the
+    caller, so it starts with the imports done and needs a POSIX fork; the
+    caller should run no other threads while it forks.  A single-plane call
+    starts no process.  The stacks do not depend on which planes run
+    together or where.
     Temporary stack files left in `out_dir` by a killed earlier run are
     deleted first.
     """
@@ -140,14 +144,11 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     digest = config.sim_digest()
     planes = [Plane(p) for p in planes]
 
-    # a process, not a thread: the per-frame work holds the GIL
-    with (ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"))
+    # a process, not a thread: the per-frame work holds the GIL; it forks at
+    # the first submit, once the calibration is done
+    with (ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
           if len(planes) > 1 else contextlib.nullcontext()) as worker:
-        if worker is not None:
-            # its result is not read: a worker that fails to start breaks
-            # the pool, and the plane's future raises that
-            worker.submit(_start_worker)
-
+        t_dark = time.perf_counter()
         dark_cam = config.camera(None)
         dark_path = out / "dark.bpcm"
         with StackWriter(dark_path, kind=KIND_RAW, plane=PLANE_DARK, shape=config.roi,
@@ -162,6 +163,7 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
             k = float(config.threshold_k)
         else:
             k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
+        dark_s = time.perf_counter() - t_dark
 
         futures = {plane.value: worker.submit(_simulate_plane, config, str(out), digest, cal, k,
                                               plane)
@@ -182,7 +184,9 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
         threshold_k=float(k),
         sigma_noise=cal.sigma_noise,
         dark_centre=cal.centre,
+        n_unclipped_fallback=cal.n_unclipped_fallback,
         plane_stats=plane_stats,
+        dark_s=dark_s,
         elapsed_s=time.perf_counter() - t0,
     )
     with open(out / "sim_summary.json", "w", encoding="utf-8") as fh:
@@ -190,13 +194,10 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     return result
 
 
-def _start_worker() -> None:
-    """Nothing: unpickling it makes a fresh worker import this module."""
-
-
 def _simulate_plane(config: RunConfig, out_dir: str, digest: bytes, calibration: Calibration,
                     k: float, plane: Plane) -> tuple[str, PlaneSimStats]:
     """Expose and threshold every frame of one plane into its stack file."""
+    t0 = time.perf_counter()
     code = _PLANE_CODE[plane]
     source = config.source()
     cam = config.camera(plane)
@@ -221,6 +222,7 @@ def _simulate_plane(config: RunConfig, out_dir: str, digest: bytes, calibration:
             agg.n_smeared += st.n_smeared
             agg.total_ones += int(np.count_nonzero(bits.bits))
             agg.n_pixels += bits.bits.size
+    agg.elapsed_s = time.perf_counter() - t0
     return str(path), agg
 
 

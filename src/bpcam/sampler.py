@@ -60,16 +60,6 @@ class FluxConfig:
 
 
 @dataclass
-class PairEvent:
-    """One sampled pair in detector coordinates (um), with survival flags."""
-
-    r1: np.ndarray
-    r2: np.ndarray
-    survived1: bool = True
-    survived2: bool = True
-
-
-@dataclass
 class FrameEvents:
     """Surviving impacts of one frame plus generator bookkeeping."""
 
@@ -104,14 +94,6 @@ def sample_pairs(
     r1 = 0.5 * (s + d) * scale
     r2 = 0.5 * (s - d) * scale
     return r1, r2
-
-
-def sample_pair(
-    source: SourceParams, optics: OpticalSystem, rng: np.random.Generator
-) -> PairEvent:
-    """Draw a single pair (no losses applied)."""
-    r1, r2 = sample_pairs(source, optics, 1, rng)
-    return PairEvent(r1=r1[0], r2=r2[0])
 
 
 def generate_frame_events(

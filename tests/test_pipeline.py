@@ -2,11 +2,15 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bpcam import Plane, RunConfig, StackReader, pipeline
+from bpcam import Plane, RunConfig, StackReader, calibrate, pipeline
 from bpcam.correlate import Mode, accumulate, subtract
 from bpcam.errors import ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
@@ -68,6 +72,18 @@ def test_simulate_writes_complete_runs(small_run):
     assert summary["planes"]["image"]["n_frames"] == cfg.n_frames
 
 
+def test_sim_summary_records_stage_times(small_run):
+    cfg, sim, products = small_run
+    with open(f"{sim.out_dir}/sim_summary.json") as fh:
+        summary = json.load(fh)
+    plane_s = [summary["planes"][name]["elapsed_s"] for name in ("image", "farfield")]
+    assert summary["dark_s"] >= 0 and min(plane_s) >= 0
+    # the planes run side by side, after the darks and the calibration
+    assert summary["elapsed_s"] >= summary["dark_s"] + max(plane_s)
+    cal = calibrate(StackReader(sim.dark_path))
+    assert summary["n_unclipped_fallback"] == cal.n_unclipped_fallback
+
+
 def test_simulation_is_bit_reproducible(tmp_path):
     cfg = RunConfig().replace(**TINY)
     a = simulate(cfg, tmp_path / "a")
@@ -125,6 +141,26 @@ def test_worker_plane_failure_is_raised_and_reaped(tmp_path):
     assert multiprocessing.active_children() == []
     assert (tmp_path / "farfield.bpcm").is_dir()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_script_without_main_guard_simulates_both_planes(tmp_path):
+    # the worker is forked, so it does not re-run the calling script
+    script = tmp_path / "no_guard.py"
+    script.write_text(
+        "import sys\n"
+        "from bpcam import RunConfig\n"
+        "from bpcam.pipeline import simulate\n"
+        f"simulate(RunConfig().replace(**{TINY!r}), sys.argv[1])\n")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "script")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    simulate(RunConfig().replace(**TINY), tmp_path / "inline")
+    for name in ("dark.bpcm", "image.bpcm", "farfield.bpcm"):
+        assert (tmp_path / "script" / name).read_bytes() == \
+            (tmp_path / "inline" / name).read_bytes()
 
 
 def test_plane_order_does_not_change_the_stacks(tmp_path):

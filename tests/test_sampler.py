@@ -12,7 +12,6 @@ from bpcam import (
     Plane,
     SourceParams,
     generate_frame_events,
-    sample_pair,
     sample_pairs,
     substream,
 )
@@ -72,8 +71,8 @@ def test_sample_pairs_shapes_and_edge_cases(rng):
     assert r1.shape == (0, 2) and r2.shape == (0, 2)
     with pytest.raises(ParameterError):
         sample_pairs(SRC, IMAGE, -1, rng)
-    ev = sample_pair(SRC, FARFIELD, rng)
-    assert ev.r1.shape == (2,) and ev.survived1 and ev.survived2
+    r1, r2 = sample_pairs(SRC, FARFIELD, 1, rng)
+    assert r1.shape == (1, 2) and r2.shape == (1, 2)
 
 
 def test_substream_reproducible_and_keyed():
