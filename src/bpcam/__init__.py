@@ -19,7 +19,6 @@ from .correlate import (
     subtract,
 )
 from .emccd import (
-    BinaryFrame,
     Calibration,
     CameraParams,
     calibrate,

@@ -132,9 +132,12 @@ class MarginalStack:
         block = self.counts[start:stop]
         if block.shape[0] < 2:
             raise ParameterError("a joint distribution needs at least 2 frames")
+        # float64 sums of integer products are exact below 2**53; einsum keeps
+        # them off BLAS, whose thread pool would oversubscribe the cores when
+        # both planes' analyses run at once
         v = block.astype(np.float64)
-        sig = np.rint(v.T @ v).astype(np.int64)
-        ref = np.rint(v[:-1].T @ v[1:]).astype(np.int64)
+        sig = np.rint(np.einsum("na,nb->ab", v, v)).astype(np.int64)
+        ref = np.rint(np.einsum("na,nb->ab", v[:-1], v[1:])).astype(np.int64)
         return JointDistribution(
             axis=self.axis,
             counts=sig,
@@ -371,7 +374,7 @@ def accumulate(frames, roi: tuple[int, int] | None = None, **kwargs) -> StackRes
     """Convenience wrapper: run a StackAccumulator over an iterable of frames."""
     acc = None
     for bits in frames:
-        arr = bits.bits if hasattr(bits, "bits") else np.asarray(bits)
+        arr = np.asarray(bits)
         if acc is None:
             acc = StackAccumulator(roi if roi is not None else arr.shape, **kwargs)
         acc.add(arr)

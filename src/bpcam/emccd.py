@@ -88,17 +88,6 @@ class ExposeStats:
     n_cic: int = 0
 
 
-@dataclass
-class BinaryFrame:
-    """Thresholded frame: True where the pixel fired."""
-
-    bits: np.ndarray
-
-    @property
-    def occupancy(self) -> float:
-        return float(np.count_nonzero(self.bits)) / self.bits.size
-
-
 def pixel_coords(impacts: np.ndarray, cam: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map impact coordinates (m, 2) of (x, y) um to (row, col) with an in-ROI mask.
 
@@ -337,8 +326,8 @@ def calibrate(frames, clip_sigmas: float = 5.0) -> Calibration:
     )
 
 
-def threshold(frame: np.ndarray, cal: Calibration, k: float) -> BinaryFrame:
-    """Photon-count a raw frame: bit = (value - pixel_mean) > k * sigma_noise."""
+def threshold(frame: np.ndarray, cal: Calibration, k: float) -> np.ndarray:
+    """Photon-count a raw frame: bool bit = (value - pixel_mean) > k * sigma_noise."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != cal.pixel_mean.shape:
         raise ParameterError(
@@ -346,7 +335,7 @@ def threshold(frame: np.ndarray, cal: Calibration, k: float) -> BinaryFrame:
         )
     if not math.isfinite(k):
         raise ParameterError(f"threshold k must be finite, got {k!r}")
-    return BinaryFrame(bits=(frame - cal.pixel_mean) > (k * cal.sigma_noise))
+    return (frame - cal.pixel_mean) > (k * cal.sigma_noise)
 
 
 def calibrate_flux_equivalence(
@@ -398,7 +387,7 @@ def dark_occupancy(frames, calibration: Calibration, k: float) -> float:
     fired = 0
     seen = 0
     for f in _iter_checked(frames, calibration.pixel_mean.shape):
-        fired += int(np.count_nonzero(threshold(f, calibration, k).bits))
+        fired += int(np.count_nonzero(threshold(f, calibration, k)))
         seen += f.size
     if seen == 0:
         raise ParameterError("dark_occupancy needs at least one frame")

@@ -141,7 +141,7 @@ class StackWriter:
         self._fh.write(self.header.pack())
 
     def write(self, frame) -> None:
-        frame = np.asarray(frame.bits if hasattr(frame, "bits") else frame)
+        frame = np.asarray(frame)
         if frame.shape != self.header.shape:
             raise ParameterError(
                 f"frame shape {frame.shape} != stack shape {self.header.shape}"

@@ -9,10 +9,13 @@ numbers and bootstrap errors.
 
 Every random draw comes from a substream keyed by (seed, plane code, frame
 index), so stacks are bit-reproducible and any frame can be regenerated in
-isolation.  That makes the planes independent after the dark calibration:
-`simulate` runs the first plane in the caller and the others in one forked
-worker process, and `analyze` runs one accumulator thread per plane, without
-changing a byte of output.  The fork needs a POSIX system.
+isolation.  That makes the planes independent after the dark calibration,
+and the two planes' figures meet only in the EPR product.  So both
+functions split by plane, without changing a byte of output: `simulate`
+runs the first plane in the caller and the others in one forked worker
+process, and `analyze` runs the far field's whole analysis in the caller
+and the image plane's in one forked worker.  The fork needs a POSIX system,
+and the caller should run no other threads while it forks.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import json
 import multiprocessing
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ from .config import RunConfig
 from .correlate import (
     Mode,
     StackAccumulator,
+    SubtractedMap,
     peak_snr,
     subtract,
 )
@@ -123,6 +128,16 @@ class SimulateResult:
         }
 
 
+def _fork_worker() -> ProcessPoolExecutor:
+    """One worker process, forked from the caller at the first submit.
+
+    A process, not a thread: the per-frame work, the sparse pair counting
+    and the fits hold the GIL.  The fork starts it with the caller's imports
+    done; it needs a POSIX fork.
+    """
+    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+
+
 def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) -> SimulateResult:
     """Generate dark + photon stacks under `config`, writing to `out_dir`.
 
@@ -144,10 +159,8 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     digest = config.sim_digest()
     planes = [Plane(p) for p in planes]
 
-    # a process, not a thread: the per-frame work holds the GIL; it forks at
-    # the first submit, once the calibration is done
-    with (ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
-          if len(planes) > 1 else contextlib.nullcontext()) as worker:
+    # the worker forks at the first submit, once the calibration is done
+    with _fork_worker() if len(planes) > 1 else contextlib.nullcontext() as worker:
         t_dark = time.perf_counter()
         dark_cam = config.camera(None)
         dark_path = out / "dark.bpcm"
@@ -220,8 +233,8 @@ def _simulate_plane(config: RunConfig, out_dir: str, digest: bytes, calibration:
             agg.n_impacts_in_roi += st.n_in_roi
             agg.n_detected += st.n_detected
             agg.n_smeared += st.n_smeared
-            agg.total_ones += int(np.count_nonzero(bits.bits))
-            agg.n_pixels += bits.bits.size
+            agg.total_ones += int(np.count_nonzero(bits))
+            agg.n_pixels += bits.size
     agg.elapsed_s = time.perf_counter() - t0
     return str(path), agg
 
@@ -235,6 +248,131 @@ class AnalysisProducts:
     maps: dict  # {"image_difference": SubtractedMap, ...}
     warnings: list
     elapsed_s: float
+
+
+# Each plane feeds exactly one pair coordinate: correlated positions peak in
+# the difference map, anti-correlated momenta in the sum map.  The names are
+# those of the plane's figures in the warnings, the report and its errors.
+_PLANE_MODE = {Plane.IMAGE: Mode.DIFFERENCE, Plane.FAR_FIELD: Mode.SUM}
+_PLANE_NAMES = {Plane.IMAGE: ("pos", "x", "cond_var_x_um2"),
+                Plane.FAR_FIELD: ("mom", "p", "cond_var_p_hbar2_per_um2")}
+#: the steps of a plane's analysis, in the order the report lists their warnings
+_STEPS = ("map fit", "peak snr", "blocks", "inferred variance", "dimensionality", "bootstrap")
+
+
+@dataclass
+class _PlaneAnalysis:
+    """One plane's map, fits and bootstrap errors; `analyze` combines two."""
+
+    plane: Plane
+    map: SubtractedMap
+    n_frames: int
+    total_ones: int
+    sigma_um: float  # from the map's central cross-section; nan where a step failed
+    snr: float
+    cond_var: float  # the inferred variance; inf where its fit failed
+    d: float  # the mode count
+    has_blocks: bool
+    errors: dict  # bootstrap standard errors
+    records: dict  # {step: (report detail key, fit record)} for the steps that succeeded
+    warnings: dict  # {step: text} for the steps that failed
+
+
+def _plane_statistic(plane: Plane, pitch_um: float, scale: float, roi: tuple, smeared: bool,
+                     joints: dict) -> dict:
+    """A plane's bootstrap statistic: its column-joint width, the inferred
+    variance that width gives and its mode count, from pooled joints."""
+    mode = _PLANE_MODE[plane]
+    coord, _, var_key = _PLANE_NAMES[plane]
+    h, w = roi
+    width = fit_joint_width(joints["col"], mode, pitch_um, window_px=40)
+    out = {f"sigma_{coord}_um": width.sigma_um, var_key: width.sigma_um ** 2 * scale ** 2}
+    ax_col = axis_dimensionality(joints["col"], pitch_um=pitch_um, extent_px=w, narrow=mode,
+                                 narrow_fit=width)
+    if smeared:  # the row axis reuses the column axis
+        out[f"d_{coord}"] = ax_col.d_axis ** 2
+    else:
+        ax_row = axis_dimensionality(joints["row"], pitch_um=pitch_um, extent_px=h, narrow=mode)
+        out[f"d_{coord}"] = ax_col.d_axis * ax_row.d_axis
+    return out
+
+
+def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
+                   mask_artifacts: bool) -> _PlaneAnalysis:
+    """Accumulate one plane's stack, fit its figures and bootstrap their errors.
+
+    A step that fails becomes a warning, and the steps after it go on.  The
+    bootstrap runs whenever this plane has blocks; `analyze` keeps its
+    errors only when the other plane has blocks too.
+    """
+    mode = _PLANE_MODE[plane]
+    coord, var, _ = _PLANE_NAMES[plane]
+    name = plane.value
+    pitch = config.pixel_pitch
+    h, w = config.roi
+    # Vertical charge smear contaminates only the image plane's row axis.
+    # Column-axis joints stay clean under it: a daughter keeps its parent's
+    # column, so parent/daughter duplicates land only on the always-masked
+    # zero-difference bin, and daughter/partner pairs replicate the genuine
+    # column statistics (amplitude only).  The row axis reuses the column's.
+    smeared = plane is Plane.IMAGE and config.smear_prob_image > 0.0
+    records: dict = {}
+    warnings: dict = {}
+
+    def _try(step, label, fn):
+        try:
+            return fn()
+        except (AnalysisError, FitFailureError, ParameterError) as exc:
+            warnings[step] = f"{label}: {exc}"
+            return None
+
+    acc = StackAccumulator(config.roi, sparse_threshold=config.sparse_threshold, modes=(mode,))
+    for bits in StackReader(path):
+        acc.add(bits)
+    res = acc.finalize()
+    sub = subtract(res.difference if mode is Mode.DIFFERENCE else res.sum_map,
+                   mask_center=mask_artifacts, mask_smear_rows=mask_artifacts and smeared)
+
+    width = _try("map fit", f"sigma_{coord} fit", lambda: fit_map_width(sub, pitch, window_px=40))
+    if width:
+        records["map fit"] = (f"sigma_{coord}_fit",
+                              {"sigma_px": width.sigma_px, **width.fit.as_dict()})
+    snr = _try("peak snr", f"{name} peak snr", lambda: peak_snr(sub))
+    if snr:
+        records["peak snr"] = (f"snr_{coord}", asdict(snr))
+    # joint distributions per transverse axis, built once from the bootstrap
+    # blocks (pooling drops only the n_blocks - 1 boundary reference pairs)
+    blocks = _try("blocks", f"{name} blocks", lambda: make_blocks(res.marginals, config.n_blocks))
+    if blocks is not None:
+        joints = {ax: combine_joints(blk) for ax, blk in blocks.items()}
+    else:
+        joints = {ax: ms.joint() for ax, ms in res.marginals.items()}
+    scale = config.optics(plane).detector_to_source_scale(config.source())
+    cond_var = _try("inferred variance", f"inferred variance {var}", lambda: inferred_variance(
+        joints["col"], mode, pitch_um=pitch, scale=scale))
+    if cond_var:
+        records["inferred variance"] = (f"cond_var_{var}", {
+            "variance_det_um2": cond_var.variance_det_um2,
+            "sigma_px": cond_var.width.sigma_px,
+            **cond_var.width.fit.as_dict(),
+        })
+    dims = _try("dimensionality", f"{name} dimensionality", lambda: dimensionality(
+        joints, pitch_um=pitch, extent_px={"col": w, "row": h}, narrow=mode,
+        substitute={"row": "col"} if smeared else None))
+    if dims:
+        records["dimensionality"] = (f"dimensionality_{name}",
+                                     {ax: asdict(est) for ax, est in dims.axes.items()})
+    errors = {}
+    if n_boot > 0 and blocks is not None:
+        statistic = partial(_plane_statistic, plane, pitch, scale, (h, w), smeared)
+        errors = _try("bootstrap", f"{name} bootstrap", lambda: block_bootstrap(
+            blocks, statistic, n_boot=n_boot, seed=config.seed + 1)) or {}
+    nan = float("nan")
+    return _PlaneAnalysis(plane, sub, res.n_frames, res.total_ones,
+                          width.sigma_um if width else nan, snr.value if snr else nan,
+                          cond_var.variance if cond_var else float("inf"),
+                          dims.d_total if dims else nan,
+                          blocks is not None, errors, records, warnings)
 
 
 def _open_checked(path, expected_plane: str, config: RunConfig) -> StackReader:
@@ -268,6 +406,12 @@ def analyze(
     beat 1/4 *and* both correlation peaks to clear the significance gate;
     runs without a detectable peak (for example heavily attenuated ones)
     therefore never flag, no matter what the noise fits return.
+
+    Once the stacks are checked, one worker process analyses the image
+    plane, accumulation to bootstrap, while the caller analyses the far
+    field; the caller then combines the two.  The worker is forked, so it
+    needs a POSIX fork, and the caller should run no other threads while
+    `analyze` forks.
     """
     t0 = time.perf_counter()
     gate = config.snr_gate if snr_gate is None else float(snr_gate)
@@ -286,217 +430,67 @@ def analyze(
             "(use check_digest=False / --ignore-digest to analyse anyway)"
         )
 
-    source = config.source()
-    pitch = config.pixel_pitch
-    h, w = config.roi
-    warnings: list[str] = []
+    # forked before the caller grows, so the worker does not inherit its arrays
+    with _fork_worker() as worker:
+        image = worker.submit(_analyze_plane, readers[Plane.IMAGE].path, Plane.IMAGE, config,
+                              n_boot, mask_artifacts)
+        ff = _analyze_plane(readers[Plane.FAR_FIELD].path, Plane.FAR_FIELD, config, n_boot,
+                            mask_artifacts)
+        ip = image.result()
+    planes = (ip, ff)
 
-    def _try(label, fn, fallback=None):
-        try:
-            return fn()
-        except (AnalysisError, FitFailureError, ParameterError) as exc:
-            warnings.append(f"{label}: {exc}")
-            return fallback
-
-    # each plane feeds exactly one pair coordinate: correlated positions
-    # peak in the difference map, anti-correlated momenta in the sum map
-    plane_modes = {Plane.IMAGE: (Mode.DIFFERENCE,), Plane.FAR_FIELD: (Mode.SUM,)}
-
-    def accumulate_plane(plane):
-        acc = StackAccumulator(config.roi, sparse_threshold=config.sparse_threshold,
-                               modes=plane_modes[plane])
-        for bits in readers[plane]:
-            acc.add(bits)
-        return acc.finalize()
-
-    # one thread per plane: the transforms and large ufuncs release the GIL
-    with ThreadPoolExecutor(max_workers=len(readers)) as pool:
-        results = dict(zip(readers, pool.map(accumulate_plane, readers)))
-
-    res_ip = results[Plane.IMAGE]
-    res_ff = results[Plane.FAR_FIELD]
-    smeared = config.smear_prob_image > 0.0
-
-    maps = {
-        "image_difference": subtract(res_ip.difference, mask_center=mask_artifacts,
-                                     mask_smear_rows=mask_artifacts and smeared),
-        "farfield_sum": subtract(res_ff.sum_map),
-    }
-
-    # correlation widths from the central map cross-sections
-    west_pos = _try("sigma_pos fit",
-                    lambda: fit_map_width(maps["image_difference"], pitch, window_px=40))
-    west_mom = _try("sigma_mom fit",
-                    lambda: fit_map_width(maps["farfield_sum"], pitch, window_px=40))
-    sigma_pos = west_pos.sigma_um if west_pos else float("nan")
-    sigma_mom = west_mom.sigma_um if west_mom else float("nan")
-
-    snr_pos = _try("image peak snr", lambda: peak_snr(maps["image_difference"]))
-    snr_mom = _try("farfield peak snr", lambda: peak_snr(maps["farfield_sum"]))
-    snr_pos_val = snr_pos.value if snr_pos else float("nan")
-    snr_mom_val = snr_mom.value if snr_mom else float("nan")
-
-    # joint distributions per transverse axis, built once from the bootstrap
-    # blocks (pooling drops only the n_blocks - 1 boundary reference pairs)
-    blocks_ip = _try("image blocks", lambda: make_blocks(res_ip.marginals, config.n_blocks))
-    blocks_ff = _try("farfield blocks", lambda: make_blocks(res_ff.marginals, config.n_blocks))
-    if blocks_ip is not None:
-        joints_ip = {ax: combine_joints(blk) for ax, blk in blocks_ip.items()}
-    else:
-        joints_ip = {ax: ms.joint() for ax, ms in res_ip.marginals.items()}
-    if blocks_ff is not None:
-        joints_ff = {ax: combine_joints(blk) for ax, blk in blocks_ff.items()}
-    else:
-        joints_ff = {ax: ms.joint() for ax, ms in res_ff.marginals.items()}
-
-    scale_ip = config.optics(Plane.IMAGE).detector_to_source_scale(source)
-    scale_ff = config.optics(Plane.FAR_FIELD).detector_to_source_scale(source)
-    # Column-axis joints stay clean under vertical smear: a daughter keeps
-    # its parent's column, so parent/daughter duplicates land only on the
-    # always-masked zero-difference bin, and daughter/partner pairs
-    # replicate the genuine column statistics (amplitude only).  Row-axis
-    # joints are genuinely contaminated and get substituted below.
-    cv_x = _try("inferred variance x", lambda: inferred_variance(
-        joints_ip["col"], Mode.DIFFERENCE, pitch_um=pitch, scale=scale_ip))
-    cv_p = _try("inferred variance p", lambda: inferred_variance(
-        joints_ff["col"], Mode.SUM, pitch_um=pitch, scale=scale_ff))
-    var_x = cv_x.variance if cv_x else float("inf")
-    var_p = cv_p.variance if cv_p else float("inf")
+    var_x, var_p = ip.cond_var, ff.cond_var
     product = epr_product(var_x, var_p)
     violated = bool(
         np.isfinite(product)
         and product < HEISENBERG_PRODUCT
-        and np.isfinite(snr_pos_val) and snr_pos_val >= gate
-        and np.isfinite(snr_mom_val) and snr_mom_val >= gate
+        and all(np.isfinite(p.snr) and p.snr >= gate for p in planes)
     )
 
-    dims_ip = _try("image dimensionality", lambda: dimensionality(
-        joints_ip, pitch_um=pitch, extent_px={"col": w, "row": h},
-        narrow=Mode.DIFFERENCE,
-        substitute={"row": "col"} if smeared else None))
-    dims_ff = _try("farfield dimensionality", lambda: dimensionality(
-        joints_ff, pitch_um=pitch, extent_px={"col": w, "row": h},
-        narrow=Mode.SUM))
-    d_pos = dims_ip.d_total if dims_ip else float("nan")
-    d_mom = dims_ff.d_total if dims_ff else float("nan")
+    # the errors need both planes' bootstraps, and so both planes' blocks
+    boot = ip.has_blocks and ff.has_blocks
+    errors = {**ip.errors, **ff.errors} if boot else {}
+    se_x = errors.get("cond_var_x_um2")
+    se_p = errors.get("cond_var_p_hbar2_per_um2")
+    if se_x is not None and se_p is not None and np.isfinite(var_x) and np.isfinite(var_p):
+        errors["epr_product_hbar2"] = float(np.hypot(var_x * se_p, var_p * se_x))
+    # step by step, the image plane first
+    warnings = [p.warnings[step] for step in _STEPS for p in planes
+                if step in p.warnings and (boot or step != "bootstrap")]
+    detail = {"warnings": list(warnings)}
+    detail.update(p.records[step] for step in _STEPS for p in planes if step in p.records)
 
-    errors: dict = {}
-    if n_boot > 0 and blocks_ip is not None and blocks_ff is not None:
-        errors.update(_bootstrap_errors(
-            blocks_ip, blocks_ff, config, n_boot, scale_ip, scale_ff, smeared, warnings))
-        se_x = errors.get("cond_var_x_um2")
-        se_p = errors.get("cond_var_p_hbar2_per_um2")
-        if se_x is not None and se_p is not None and np.isfinite(var_x) and np.isfinite(var_p):
-            errors["epr_product_hbar2"] = float(
-                np.hypot(var_x * se_p, var_p * se_x)
-            )
-
-    prediction = predict(source, config.optics(Plane.IMAGE), config.optics(Plane.FAR_FIELD))
+    h, w = config.roi
+    prediction = predict(config.source(), config.optics(Plane.IMAGE),
+                         config.optics(Plane.FAR_FIELD))
     report = EprReport(
         prediction=prediction.as_dict(),
-        n_frames={"image": res_ip.n_frames, "farfield": res_ff.n_frames},
+        n_frames={"image": ip.n_frames, "farfield": ff.n_frames},
         occupancy={
-            "image": res_ip.total_ones / (res_ip.n_frames * h * w),
-            "farfield": res_ff.total_ones / (res_ff.n_frames * h * w),
+            "image": ip.total_ones / (ip.n_frames * h * w),
+            "farfield": ff.total_ones / (ff.n_frames * h * w),
         },
-        sigma_pos_um=float(sigma_pos),
-        sigma_mom_um=float(sigma_mom),
-        snr_pos=float(snr_pos_val),
-        snr_mom=float(snr_mom_val),
+        sigma_pos_um=float(ip.sigma_um),
+        sigma_mom_um=float(ff.sigma_um),
+        snr_pos=float(ip.snr),
+        snr_mom=float(ff.snr),
         cond_var_x_um2=float(var_x),
         cond_var_p_hbar2_per_um2=float(var_p),
         epr_product_hbar2=float(product),
         heisenberg_bound_hbar2=HEISENBERG_PRODUCT,
         epr_violated=violated,
         snr_gate=gate,
-        d_pos=float(d_pos),
-        d_mom=float(d_mom),
-        detail=_detail_dict(west_pos, west_mom, snr_pos, snr_mom, cv_x, cv_p,
-                            dims_ip, dims_ff, warnings),
+        d_pos=float(ip.d),
+        d_mom=float(ff.d),
+        detail=detail,
         errors=errors,
     )
     return AnalysisProducts(
         report=report,
-        maps=maps,
+        maps={f"{p.plane.value}_{_PLANE_MODE[p.plane].value}": p.map for p in planes},
         warnings=warnings,
         elapsed_s=time.perf_counter() - t0,
     )
-
-
-def _detail_dict(west_pos, west_mom, snr_pos, snr_mom, cv_x, cv_p, dims_ip, dims_ff, warnings):
-    detail: dict = {"warnings": list(warnings)}
-    if west_pos:
-        detail["sigma_pos_fit"] = {"sigma_px": west_pos.sigma_px, **west_pos.fit.as_dict()}
-    if west_mom:
-        detail["sigma_mom_fit"] = {"sigma_px": west_mom.sigma_px, **west_mom.fit.as_dict()}
-    if snr_pos:
-        detail["snr_pos"] = asdict(snr_pos)
-    if snr_mom:
-        detail["snr_mom"] = asdict(snr_mom)
-    if cv_x:
-        detail["cond_var_x"] = {
-            "variance_det_um2": cv_x.variance_det_um2,
-            "sigma_px": cv_x.width.sigma_px,
-            **cv_x.width.fit.as_dict(),
-        }
-    if cv_p:
-        detail["cond_var_p"] = {
-            "variance_det_um2": cv_p.variance_det_um2,
-            "sigma_px": cv_p.width.sigma_px,
-            **cv_p.width.fit.as_dict(),
-        }
-    for name, dims in (("image", dims_ip), ("farfield", dims_ff)):
-        if dims:
-            detail[f"dimensionality_{name}"] = {
-                ax: asdict(est) for ax, est in dims.axes.items()
-            }
-    return detail
-
-
-def _bootstrap_errors(blocks_ip, blocks_ff, config, n_boot, scale_ip, scale_ff,
-                      smeared, warnings) -> dict:
-    pitch = config.pixel_pitch
-    h, w = config.roi
-
-    def image_stat(joints):
-        out = {}
-        width = fit_joint_width(joints["col"], Mode.DIFFERENCE, pitch, window_px=40)
-        out["sigma_pos_um"] = width.sigma_um
-        out["cond_var_x_um2"] = width.sigma_um ** 2 * scale_ip ** 2
-        ax_col = axis_dimensionality(joints["col"], pitch_um=pitch, extent_px=w,
-                                     narrow=Mode.DIFFERENCE, narrow_fit=width)
-        if smeared:
-            out["d_pos"] = ax_col.d_axis ** 2
-        else:
-            ax_row = axis_dimensionality(joints["row"], pitch_um=pitch, extent_px=h,
-                                         narrow=Mode.DIFFERENCE)
-            out["d_pos"] = ax_col.d_axis * ax_row.d_axis
-        return out
-
-    def farfield_stat(joints):
-        out = {}
-        width = fit_joint_width(joints["col"], Mode.SUM, pitch, window_px=40)
-        out["sigma_mom_um"] = width.sigma_um
-        out["cond_var_p_hbar2_per_um2"] = width.sigma_um ** 2 * scale_ff ** 2
-        ax_col = axis_dimensionality(joints["col"], pitch_um=pitch, extent_px=w,
-                                     narrow=Mode.SUM, narrow_fit=width)
-        ax_row = axis_dimensionality(joints["row"], pitch_um=pitch, extent_px=h,
-                                     narrow=Mode.SUM)
-        out["d_mom"] = ax_col.d_axis * ax_row.d_axis
-        return out
-
-    errors: dict = {}
-    for label, blocks, stat in (
-        ("image", blocks_ip, image_stat),
-        ("farfield", blocks_ff, farfield_stat),
-    ):
-        try:
-            errors.update(block_bootstrap(
-                blocks, stat, n_boot=n_boot, seed=config.seed + 1,
-            ))
-        except (AnalysisError, FitFailureError, ParameterError) as exc:
-            warnings.append(f"{label} bootstrap: {exc}")
-    return errors
 
 
 def run(config: RunConfig, out_dir, **analyze_kwargs):

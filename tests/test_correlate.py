@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from bpcam import Mode, StackAccumulator, accumulate, peak_snr, subtract
 from bpcam.correlate import (
+    MarginalStack,
     default_mask,
     joint_excess_histogram,
     pair_histogram,
 )
 from bpcam.errors import ConsistencyError, ParameterError
+from bpcam.inference import make_blocks
 
 
 def brute_force_maps(frames):
@@ -200,15 +202,28 @@ def test_accumulator_guards(rng):
         accumulate([])
 
 
-def test_accumulate_wrapper_accepts_bit_holders(rng):
-    class Holder:
-        def __init__(self, bits):
-            self.bits = bits
+def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
+    # the products are summed in float64; they must equal the int64 brute
+    # force for counts up to 2**20, on the unequal blocks make_blocks cuts
+    n, w = 53, 7
+    counts = rng.integers(0, 2**20 + 1, size=(n, w)).astype(np.int32)
+    counts[:2] = 2**20
+    ms = MarginalStack("col", counts)
+    blocks = make_blocks({"col": ms, "row": MarginalStack("row", counts)}, 10)["col"]
+    assert len({blk.n_frames for blk in blocks}) == 2
+    edges = np.cumsum([0] + [blk.n_frames for blk in blocks])
+    for lo, hi, blk in [(0, n, ms.joint()), *zip(edges[:-1], edges[1:], blocks)]:
+        b = counts[lo:hi].astype(np.int64)
+        np.testing.assert_array_equal(blk.counts, b.T @ b)
+        np.testing.assert_array_equal(blk.reference, b[:-1].T @ b[1:])
+        np.testing.assert_array_equal(blk.self_counts, b.sum(axis=0))
 
+
+def test_accumulate_wrapper_accepts_array_likes(rng):
     frames = random_stack(rng, 5, 5, 3, 0.3)
     direct = run_accumulator(frames)
-    wrapped = accumulate([Holder(f) for f in frames])
-    np.testing.assert_array_equal(wrapped.difference.signal, direct.difference.signal)
+    as_lists = accumulate([f.astype(int).tolist() for f in frames])
+    np.testing.assert_array_equal(as_lists.difference.signal, direct.difference.signal)
 
 
 def test_subtraction_and_masks(rng):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpcam import KIND_BINARY, KIND_RAW, StackReader, StackWriter
+from bpcam.emccd import Calibration, threshold
 from bpcam.errors import FrameFormatError, ParameterError
 from bpcam.framestack import HEADER_SIZE, PLANE_CODES, RAW_SCALE
 
@@ -147,17 +148,16 @@ def test_header_corruption_detected(tmp_path):
         StackReader(short)
 
 
-def test_accepts_binaryframe_like_objects(tmp_path):
-    class Holder:
-        def __init__(self, bits):
-            self.bits = bits
-
-    bits = np.eye(4, dtype=bool)
+def test_writes_threshold_output(tmp_path):
+    # `threshold` returns the bool array itself, which a binary stack stores
+    cal = Calibration(pixel_mean=np.zeros((4, 4)), sigma_noise=1.0,
+                      n_frames=2, centre=0.0, clip=(-5.0, 5.0))
+    bits = threshold(3.0 * np.eye(4), cal, 2.0)
     with StackWriter(tmp_path / "s.bpcm", kind=KIND_BINARY, plane="image",
                      shape=bits.shape, seed=0, config_digest=b"\x00" * 32) as wr:
-        wr.write(Holder(bits))
+        wr.write(bits)
     rd = StackReader(tmp_path / "s.bpcm")
-    np.testing.assert_array_equal(rd.read_frame(0), bits)
+    np.testing.assert_array_equal(rd.read_frame(0), np.eye(4, dtype=bool))
 
 
 @given(

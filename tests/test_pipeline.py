@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpcam import Plane, RunConfig, StackReader, calibrate, pipeline
-from bpcam.correlate import Mode, accumulate, subtract
-from bpcam.errors import ParameterError
+from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, pipeline
+from bpcam.correlate import Mode, StackAccumulator, accumulate, subtract
+from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
 from bpcam.pipeline import analyze, simulate
 
@@ -144,23 +144,59 @@ def test_worker_plane_failure_is_raised_and_reaped(tmp_path):
 
 
 def test_script_without_main_guard_simulates_both_planes(tmp_path):
-    # the worker is forked, so it does not re-run the calling script
+    # the workers are forked, so they do not re-run the calling script
     script = tmp_path / "no_guard.py"
     script.write_text(
         "import sys\n"
         "from bpcam import RunConfig\n"
-        "from bpcam.pipeline import simulate\n"
-        f"simulate(RunConfig().replace(**{TINY!r}), sys.argv[1])\n")
+        "from bpcam.pipeline import run\n"
+        "from bpcam.report import write_report\n"
+        f"sim, products = run(RunConfig().replace(**{TINY!r}), sys.argv[1])\n"
+        "write_report(products.report, sys.argv[1])\n")
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(script), str(tmp_path / "script")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    simulate(RunConfig().replace(**TINY), tmp_path / "inline")
+    sim, products = pipeline.run(RunConfig().replace(**TINY), tmp_path / "inline")
     for name in ("dark.bpcm", "image.bpcm", "farfield.bpcm"):
         assert (tmp_path / "script" / name).read_bytes() == \
             (tmp_path / "inline" / name).read_bytes()
+    with open(tmp_path / "script" / "report.json") as fh:
+        assert json.load(fh)["detail"]["warnings"] == products.warnings
+
+
+def test_analyze_forks_one_worker_and_reaps_it(small_run, monkeypatch):
+    cfg, sim, products = small_run
+    started = []
+    executor = pipeline.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+    redone = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    assert started == [1]
+    assert multiprocessing.active_children() == []
+    assert redone.report.as_dict() == products.report.as_dict()
+
+
+def test_analyze_worker_failure_is_raised_and_reaped(small_run, monkeypatch):
+    # the image plane is analysed in the forked worker, which inherits the patch
+    cfg, sim, products = small_run
+    finalize = StackAccumulator.finalize
+
+    def failing(self):
+        if Mode.DIFFERENCE in self.modes:
+            raise ConsistencyError("image plane failed in the worker")
+        return finalize(self)
+
+    monkeypatch.setattr(StackAccumulator, "finalize", failing)
+    with pytest.raises(ConsistencyError, match="image plane failed in the worker"):
+        analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_plane_order_does_not_change_the_stacks(tmp_path):
@@ -229,6 +265,45 @@ def test_analyze_small_stacks_degrade_to_warnings(tmp_path):
     assert products.warnings  # plenty at this scale
     assert not report.epr_violated  # never claim a violation without a peak
     assert report.detail["warnings"] == products.warnings
+
+
+def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
+    """The planes are analysed in two processes; their warnings still come
+    step by step (map fit, SNR, blocks, inferred variance, dimensionality,
+    bootstrap), the image plane's before the far field's."""
+    cfg = RunConfig().replace(**TINY)
+    sim = simulate(cfg, tmp_path)
+    products = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    labels = [text.split(":")[0] for text in products.report.detail["warnings"]]
+    assert labels == ["image peak snr", "farfield peak snr",
+                      "image blocks", "farfield blocks",
+                      "image dimensionality", "farfield dimensionality"]
+
+
+def _truncated_copy(path, out, n_frames):
+    """The first `n_frames` frames of a stack, under the same header fields."""
+    rd = StackReader(path)
+    with StackWriter(out, kind=rd.kind, plane=rd.plane_name, shape=rd.shape, seed=rd.seed,
+                     config_digest=rd.config_digest) as wr:
+        for i in range(n_frames):
+            wr.write(rd.read_frame(i))
+    return out
+
+
+@pytest.mark.parametrize("short", ["image", "farfield"])
+def test_bootstrap_needs_blocks_on_both_planes(small_run, tmp_path, short):
+    cfg, sim, products = small_run
+    paths = dict(sim.stack_paths)
+    # one frame short of two per block: that plane gets no blocks
+    paths[short] = _truncated_copy(paths[short], tmp_path / f"{short}.bpcm",
+                                   2 * cfg.n_blocks - 1)
+    redone = analyze(paths["image"], paths["farfield"], cfg, n_bootstrap=5)
+    assert redone.report.errors == {}
+    labels = [text.split(":")[0] for text in redone.warnings]
+    assert f"{short} blocks" in labels
+    assert not [label for label in labels if label.endswith("bootstrap")]
+    both = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg, n_bootstrap=5)
+    assert set(both.report.errors) >= {"d_pos", "d_mom", "epr_product_hbar2"}
 
 
 def test_bootstrap_errors_present_only_when_requested(small_run, tmp_path):
