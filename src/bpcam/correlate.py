@@ -21,23 +21,27 @@ Two interchangeable accumulation routes are kept deliberately:
   * spectral: zero-padded FFTs, accumulating sum |F|^2, sum F^2 and the
     adjacent-frame cross products in the frequency domain with a single
     inverse transform at the end - O(HW log HW) per frame regardless of
-    occupancy.
+    occupancy.  The forward transforms and the products write into buffers
+    allocated once per accumulator, through the `out=` argument that
+    numpy.fft has had since numpy 2.0 (scipy.fft has none).
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
 same pass collects per-frame row/column marginals, from which exact joint
-distributions over pixel pairs are built for conditional-variance work.
+distributions over pixel pairs are built for conditional-variance work,
+each collapsed at once onto the pair coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import ConsistencyError, ParameterError
+from .errors import AnalysisError, ConsistencyError, ParameterError
 
 #: spectral inverse transforms must land within this distance of an integer
 RESIDUAL_TOL = 0.25
@@ -73,17 +77,11 @@ class CorrelationMap:
 
     @property
     def row_axis(self) -> np.ndarray:
-        h = self.roi[0]
-        if self.mode is Mode.DIFFERENCE:
-            return np.arange(-(h - 1), h)
-        return np.arange(0, 2 * h - 1)
+        return pair_axis(self.roi[0], self.mode)
 
     @property
     def col_axis(self) -> np.ndarray:
-        w = self.roi[1]
-        if self.mode is Mode.DIFFERENCE:
-            return np.arange(-(w - 1), w)
-        return np.arange(0, 2 * w - 1)
+        return pair_axis(self.roi[1], self.mode)
 
 
 @dataclass
@@ -100,17 +98,19 @@ class SubtractedMap:
 
 @dataclass
 class JointDistribution:
-    """Ordered pair counts over one transverse axis, J[a, b].
+    """Ordered pair counts over one transverse axis, by pair coordinate.
 
-    a indexes the first photon's pixel, b the second's.  `counts` includes
-    the same-photon (self) pairs, which all land on the diagonal; their
-    per-pixel total is `self_counts`, so downstream users can remove the
-    artifact exactly (the accidental reference never cancels it).
+    For a pair whose first photon is in pixel a and second in pixel b,
+    `signal[mode]` and `reference[mode]` count it in bin b - a + W - 1
+    (Mode.DIFFERENCE) or a + b (Mode.SUM): int64 arrays of 2W - 1 bins.
+    `signal` includes the same-photon (self) pairs, which land on a = b;
+    their per-pixel total is `self_counts`, so downstream users can remove
+    the artifact exactly (the accidental reference never cancels it).
     """
 
     axis: str  # "col" or "row"
-    counts: np.ndarray  # (W, W) int64 same-frame ordered pairs
-    reference: np.ndarray  # (W, W) int64 adjacent-frame ordered pairs
+    signal: dict  # {Mode: (2W-1,) int64} same-frame ordered pairs
+    reference: dict  # {Mode: (2W-1,) int64} adjacent-frame ordered pairs
     self_counts: np.ndarray  # (W,) photons per pixel column/row, summed over frames
     n_frames: int
     n_reference_pairs: int
@@ -134,14 +134,13 @@ class MarginalStack:
             raise ParameterError("a joint distribution needs at least 2 frames")
         # float64 sums of integer products are exact below 2**53; einsum keeps
         # them off BLAS, whose thread pool would oversubscribe the cores when
-        # both planes' analyses run at once
+        # both planes' analyses run at once.  Each W x W product is collapsed
+        # at once, so a joint holds O(W) numbers.
         v = block.astype(np.float64)
-        sig = np.rint(np.einsum("na,nb->ab", v, v)).astype(np.int64)
-        ref = np.rint(np.einsum("na,nb->ab", v[:-1], v[1:])).astype(np.int64)
         return JointDistribution(
             axis=self.axis,
-            counts=sig,
-            reference=ref,
+            signal=pair_histogram(np.einsum("na,nb->ab", v, v)),
+            reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:])),
             self_counts=block.sum(axis=0, dtype=np.int64),
             n_frames=block.shape[0],
             n_reference_pairs=block.shape[0] - 1,
@@ -214,13 +213,23 @@ class StackAccumulator:
         self._d_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_d else None
         self._s_sig = np.zeros(self._flat_size, dtype=np.int64) if self._want_s else None
         self._s_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_s else None
-        # spectral accumulators
+        # spectral accumulators, held transposed (column frequency first), so
+        # that the forward transform's complex pass runs along the last axis
         self._pad = (_fft.next_fast_len(2 * h - 1), _fft.next_fast_len(2 * w - 1))
-        spec_shape = (self._pad[0], self._pad[1] // 2 + 1)
+        spec_shape = (self._pad[1] // 2 + 1, self._pad[0])
         self._sd = np.zeros(spec_shape, dtype=np.float64) if self._want_d else None
         self._ss = np.zeros(spec_shape, dtype=np.complex128) if self._want_s else None
         self._dref = np.zeros(spec_shape, dtype=np.complex128) if self._want_d else None
         self._sref = np.zeros(spec_shape, dtype=np.complex128) if self._want_s else None
+        # per-frame buffers, reused for every frame: the zero-padded frame as
+        # float64 and its row transform (transposed; their pads stay zero),
+        # the spectra of this frame and the previous one (they swap each
+        # frame), and product scratch
+        self._frame = np.zeros((h, self._pad[1]), dtype=np.float64)
+        self._rows = np.zeros(spec_shape, dtype=np.complex128)
+        self._spectra = [np.empty(spec_shape, dtype=np.complex128) for _ in range(2)]
+        self._re = np.empty(spec_shape, dtype=np.float64)
+        self._cx = np.empty(spec_shape, dtype=np.complex128)
         self._any_spectral = False
         # expected totals per route, for exactness checks
         self._tot_sig_sparse = 0
@@ -245,12 +254,19 @@ class StackAccumulator:
         q = np.flatnonzero(bits)
         return q + (q // w) * (w - 1)
 
-    def _transform(self, bits: np.ndarray) -> np.ndarray:
-        # rfft2 of the zero-padded frame, skipping the all-zero pad rows in
-        # the real pass: pad the columns inside the row transform, then run
-        # the column transform at full padded length.
-        t = _fft.rfft(bits.astype(np.float64), n=self._pad[1], axis=1)
-        return _fft.fft(t, n=self._pad[0], axis=0)
+    def _transform(self, frame: dict) -> np.ndarray:
+        """The zero-padded rfft2 of a frame, into that frame's spectrum buffer.
+
+        The real pass skips the all-zero pad rows, then the column transform
+        runs at full padded length.  numpy's transforms write into the
+        buffers (`out=`), so a frame allocates no new spectra; the inputs come
+        padded, which numpy transforms faster than padding them itself.
+        """
+        h, w = self.roi
+        np.copyto(self._frame[:, :w], frame["bits"])
+        np.fft.rfft(self._frame, axis=1, out=self._rows[:, :h].T)
+        frame["F"] = np.fft.fft(self._rows, axis=1, out=frame["spectrum"])
+        return frame["F"]
 
     def _sparse_pairs(self, k1: np.ndarray, k2: np.ndarray, d_acc, s_acc):
         """Count ordered pairs (first photon from keys k1, second from k2)."""
@@ -275,37 +291,38 @@ class StackAccumulator:
         self._vcols.append(bits.sum(axis=0, dtype=np.int32))
         self._vrows.append(bits.sum(axis=1, dtype=np.int32))
 
-        sparse = n <= self.sparse_threshold
-        cur: dict = {"n": n, "bits": bits, "keys": None, "F": None}
-        if sparse:
+        # frames take turns with the two spectrum buffers
+        cur: dict = {"n": n, "bits": bits, "keys": None, "F": None,
+                     "spectrum": self._spectra[len(self._ones) % 2]}
+        re, cx = self._re, self._cx
+        if n <= self.sparse_threshold:
             k = cur["keys"] = self._keys(bits)
             self._sparse_pairs(k, k, self._d_sig, self._s_sig)
             self._tot_sig_sparse += n * n
         else:
-            F = cur["F"] = self._transform(bits)
-            if self._want_d:
-                self._sd += F.real ** 2 + F.imag ** 2
+            F = self._transform(cur)
+            if self._want_d:  # |F|^2
+                self._sd += np.square(F.real, out=re)
+                self._sd += np.square(F.imag, out=re)
             if self._want_s:
-                self._ss += np.square(F)
+                self._ss += np.square(F, out=cx)
             self._any_spectral = True
             self._tot_sig_spec += n * n
 
         prev = self._prev
         if prev is not None:
             npairs = prev["n"] * n
-            both_sparse = prev["keys"] is not None and cur["keys"] is not None
-            if both_sparse and npairs <= self.sparse_threshold ** 2:
+            if prev["keys"] is not None and cur["keys"] is not None:  # both sparse
                 self._sparse_pairs(prev["keys"], cur["keys"], self._d_ref, self._s_ref)
                 self._tot_ref_sparse += npairs
             else:
-                if prev["F"] is None:
-                    prev["F"] = self._transform(prev["bits"])
-                if cur["F"] is None:
-                    cur["F"] = self._transform(bits)
+                # a sparse frame beside a dense one is transformed on demand
+                F_prev = prev["F"] if prev["F"] is not None else self._transform(prev)
+                F_cur = cur["F"] if cur["F"] is not None else self._transform(cur)
                 if self._want_d:
-                    self._dref += np.conj(prev["F"]) * cur["F"]
+                    self._dref += np.multiply(np.conjugate(F_prev, out=cx), F_cur, out=cx)
                 if self._want_s:
-                    self._sref += prev["F"] * cur["F"]
+                    self._sref += np.multiply(F_prev, F_cur, out=cx)
                 self._any_spectral = True
                 self._tot_ref_spec += npairs
         self._prev = cur
@@ -313,8 +330,9 @@ class StackAccumulator:
     # -- finalisation --------------------------------------------------------
 
     def _invert(self, spec: np.ndarray, shift: bool, expected_total: int) -> np.ndarray:
-        """One inverse transform -> integer window, with exactness checks."""
-        full = _fft.irfft2(spec, s=self._pad)
+        """One inverse transform of a (transposed) spectrum -> integer window,
+        with exactness checks."""
+        full = _fft.irfft2(spec.T, s=self._pad)
         if shift:
             win = full[np.ix_(self._drows, self._dcols)]
         else:
@@ -337,6 +355,8 @@ class StackAccumulator:
         if self._finalized:
             raise ConsistencyError("accumulator already finalized")
         self._finalized = True
+        # the per-frame buffers go before the inverse transforms allocate
+        self._frame = self._rows = self._spectra = self._re = self._cx = self._prev = None
         n_frames = len(self._ones)
         if n_frames < 2:
             raise ParameterError(f"need at least 2 frames, got {n_frames}")
@@ -456,11 +476,11 @@ def peak_snr(sub: SubtractedMap, peak: tuple[int, int] | None = None,
     n_peak = int(np.count_nonzero(in_peak))
     n_bg = int(np.count_nonzero(in_bg))
     if n_peak == 0 or n_bg < 16:
-        raise ParameterError("peak window or background annulus is empty")
+        raise AnalysisError("peak window or background annulus is empty")
     peak_mean = float(sub.values[in_peak].mean())
     bg_sigma = float(sub.values[in_bg].std())
     if bg_sigma == 0.0:
-        raise ParameterError("background annulus has zero variance")
+        raise AnalysisError("background annulus has zero variance")
     value = peak_mean / (bg_sigma / np.sqrt(n_peak))
     return PeakSnr(value, peak_mean, bg_sigma, n_peak, n_bg)
 
@@ -468,37 +488,53 @@ def peak_snr(sub: SubtractedMap, peak: tuple[int, int] | None = None,
 # ---------------------------------------------------------------------------
 # 1-D histograms from joint distributions
 
-def pair_histogram(matrix: np.ndarray, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse a (W, W) pair matrix J[a, b] onto b - a or b + a.
+def pair_axis(w: int, mode: Mode) -> np.ndarray:
+    """Pair-coordinate grid of a W-pixel axis: b - a in [-(W-1), W-1] or a + b in [0, 2W-2]."""
+    return np.arange(-(w - 1), w) if mode is Mode.DIFFERENCE else np.arange(0, 2 * w - 1)
 
-    Returns (axis, counts): axis is the offset grid [-(W-1), W-1] for
-    DIFFERENCE or the sum grid [0, 2W-2] for SUM.
+
+@functools.lru_cache(maxsize=4)
+def _pair_keys(w: int) -> dict:
+    """`pair_histogram`'s bins of a flattened (W, W) matrix, read-only."""
+    a, b = np.indices((w, w))
+    keys = {Mode.DIFFERENCE: (b - a + (w - 1)).ravel(), Mode.SUM: (a + b).ravel()}
+    for k in keys.values():
+        k.flags.writeable = False
+    return keys
+
+
+def pair_histogram(matrix: np.ndarray) -> dict:
+    """Collapse a (W, W) pair matrix J[a, b] onto b - a and onto a + b.
+
+    Returns {Mode: int64 counts over its `pair_axis` grid}, one `bincount`
+    per mode over the bins b - a + W - 1 and a + b.  The entries must be
+    integers (float64 ones too); the sums are exact below 2**53.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"pair matrix must be square, got {m.shape}")
     w = m.shape[0]
-    if mode is Mode.DIFFERENCE:
-        counts = np.array([np.trace(m, offset=d) for d in range(-(w - 1), w)])
-        return np.arange(-(w - 1), w), counts
-    flipped = m[:, ::-1]
-    counts = np.array([np.trace(flipped, offset=(w - 1) - s) for s in range(2 * w - 1)])
-    return np.arange(0, 2 * w - 1), counts
+    return {mode: np.rint(np.bincount(keys, weights=m.ravel(), minlength=2 * w - 1))
+            .astype(np.int64) for mode, keys in _pair_keys(w).items()}
 
 
 def joint_excess_histogram(joint: JointDistribution, mode: Mode,
                            remove_self_pairs: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame pair excess along one axis: signal/N - reference/(N-1).
 
-    Self-pairs (a photon paired with itself) all sit on the diagonal of the
-    signal matrix and are removed exactly via the stored per-pixel totals
-    before collapsing; the accidental reference contains none, so leaving
-    them in would fake a zero-offset (difference) / even-sum (sum) excess.
+    Returns (`pair_axis` grid, excess).  Self-pairs (a photon paired with
+    itself) sit at a = b, so on b - a = 0 or on the even sums a + b = 2a;
+    they are removed exactly, in integers, via the stored per-pixel totals.
+    The accidental reference contains none, so leaving them in would fake a
+    zero-offset (difference) / even-sum (sum) excess.
     """
-    sig = joint.counts.astype(np.float64)
+    w = joint.self_counts.size
+    sig = joint.signal[mode]
     if remove_self_pairs:
         sig = sig.copy()
-        np.fill_diagonal(sig, sig.diagonal() - joint.self_counts)
-    axis, hs = pair_histogram(sig / joint.n_frames, mode)
-    _, hr = pair_histogram(joint.reference.astype(np.float64) / joint.n_reference_pairs, mode)
-    return axis, hs - hr
+        if mode is Mode.DIFFERENCE:
+            sig[w - 1] -= joint.self_counts.sum()
+        else:
+            sig[::2] -= joint.self_counts
+    excess = sig / joint.n_frames - joint.reference[mode] / joint.n_reference_pairs
+    return pair_axis(w, mode), excess

@@ -32,7 +32,7 @@ from .correlate import (
     MarginalStack,
     Mode,
     SubtractedMap,
-    pair_histogram,
+    joint_excess_histogram,
 )
 from .errors import AnalysisError, FitFailureError, ParameterError
 from .model import HEISENBERG_PRODUCT
@@ -258,10 +258,8 @@ def fit_joint_width(
     `shaded_gaussian`; use it for broad domes, whose centres sit where the
     light (and hence the chance a pixel is already lit) is densest.
     """
-    from .correlate import joint_excess_histogram
-
     axis, hist = joint_excess_histogram(joint, mode)
-    w = joint.counts.shape[0]
+    w = joint.self_counts.size
     artifact = 0.0 if mode is Mode.DIFFERENCE else float(2 * (w // 2))
     mask = histogram_mask(axis, artifact, mask_halfwidth)
     if mode is Mode.DIFFERENCE:
@@ -411,6 +409,7 @@ def dimensionality(
     narrow: Mode,
     mask_halfwidth: int | None = None,
     substitute: dict | None = None,
+    narrow_fits: dict | None = None,
 ) -> DimensionalityEstimate:
     """Total mode count as the product of per-axis estimates.
 
@@ -418,8 +417,11 @@ def dimensionality(
     keyed like `joints` for non-square regions).  `substitute` maps an axis
     to another whose estimate it should reuse, e.g. {"row": "col"} on an
     image plane where vertical charge smear contaminates the row statistics.
+    `narrow_fits` maps an axis to the `narrow_fit` its `axis_dimensionality`
+    reuses.
     """
     substitute = substitute or {}
+    narrow_fits = narrow_fits or {}
     axes: dict[str, AxisDimensionality] = {}
     for axis, joint in joints.items():
         if axis in substitute:
@@ -427,7 +429,7 @@ def dimensionality(
         extent = extent_px[axis] if isinstance(extent_px, dict) else extent_px
         axes[axis] = axis_dimensionality(
             joint, pitch_um=pitch_um, extent_px=extent, narrow=narrow,
-            mask_halfwidth=mask_halfwidth,
+            mask_halfwidth=mask_halfwidth, narrow_fit=narrow_fits.get(axis),
         )
     for axis, source in substitute.items():
         if source not in axes:
@@ -451,14 +453,11 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
     """Pool block-level joints as if the blocks were one contiguous stack."""
     if not parts:
         raise ParameterError("no joint blocks to combine")
-    counts = sum(p.counts for p in parts)
-    reference = sum(p.reference for p in parts)
-    self_counts = sum(p.self_counts for p in parts)
     return JointDistribution(
         axis=parts[0].axis,
-        counts=counts,
-        reference=reference,
-        self_counts=self_counts,
+        signal={m: sum(p.signal[m] for p in parts) for m in parts[0].signal},
+        reference={m: sum(p.reference[m] for p in parts) for m in parts[0].reference},
+        self_counts=sum(p.self_counts for p in parts),
         n_frames=sum(p.n_frames for p in parts),
         n_reference_pairs=sum(p.n_reference_pairs for p in parts),
     )
@@ -470,22 +469,32 @@ def make_blocks(marginals: dict, n_blocks: int) -> dict:
     Returns {axis: [JointDistribution, ...]}.  Pooling all blocks of an axis
     with `combine_joints` reproduces the full-stack joint up to the
     n_blocks - 1 adjacent-frame reference pairs that straddle block
-    boundaries (the normalisation accounts for the dropped pairs).
+    boundaries (the normalisation accounts for the dropped pairs).  A stack
+    with fewer than two frames per block raises AnalysisError.
     """
-    if n_blocks < 10:
-        raise ParameterError(f"need at least 10 blocks for block bootstrap, got {n_blocks}")
+    if n_blocks < 1:
+        raise ParameterError(f"need at least 1 block, got {n_blocks}")
     n_frames = {ax: ms.n_frames for ax, ms in marginals.items()}
     nset = set(n_frames.values())
     if len(nset) != 1:
         raise ParameterError(f"marginal stacks disagree on frame count: {n_frames}")
     n = nset.pop()
     if n < 2 * n_blocks:
-        raise ParameterError(f"{n} frames is too few for {n_blocks} blocks of >= 2")
+        raise AnalysisError(f"{n} frames is too few for {n_blocks} blocks of >= 2")
     edges = np.linspace(0, n, n_blocks + 1).astype(int)
     return {
         ax: [ms.joint(edges[i], edges[i + 1]) for i in range(n_blocks)]
         for ax, ms in marginals.items()
     }
+
+
+@dataclass
+class BootstrapResult:
+    """Standard errors over the resamples, and how many resamples gave them."""
+
+    errors: dict  # {key: standard error}
+    n_ok: int
+    n_failed: int  # resamples whose statistic raised AnalysisError/FitFailureError
 
 
 def block_bootstrap(
@@ -494,28 +503,32 @@ def block_bootstrap(
     *,
     n_boot: int = 100,
     seed: int = 0,
-) -> dict:
+) -> BootstrapResult:
     """Standard errors of joint-derived statistics by block resampling.
 
-    `blocks` comes from `make_blocks`.  Each resample draws blocks with
-    replacement, pools their joint distributions and evaluates
-    `statistic(joints) -> dict[str, float]`; resamples where the statistic
-    raises AnalysisError/FitFailureError are skipped.  Returns
-    {key: standard error over resamples}.
+    `blocks` comes from `make_blocks`, with at least 10 blocks per axis.
+    Each resample draws blocks with replacement, pools their joint
+    distributions and evaluates `statistic(joints) -> dict[str, float]`;
+    resamples where the statistic raises AnalysisError/FitFailureError are
+    skipped and counted.
     """
     n_blocks = {ax: len(b) for ax, b in blocks.items()}
     bset = set(n_blocks.values())
     if len(bset) != 1:
         raise ParameterError(f"axes disagree on block count: {n_blocks}")
     nb = bset.pop()
+    if nb < 10:
+        raise ParameterError(f"need at least 10 blocks for block bootstrap, got {nb}")
     rng = np.random.default_rng(seed)
     samples: dict[str, list[float]] = {}
+    n_failed = 0
     for _ in range(n_boot):
         pick = rng.integers(0, nb, size=nb)
         joints = {ax: combine_joints([blk[i] for i in pick]) for ax, blk in blocks.items()}
         try:
             stats = statistic(joints)
         except (AnalysisError, FitFailureError):
+            n_failed += 1
             continue
         for key, value in stats.items():
             samples.setdefault(key, []).append(float(value))
@@ -524,7 +537,7 @@ def block_bootstrap(
         arr = np.asarray(vals)
         arr = arr[np.isfinite(arr)]
         out[key] = float(arr.std(ddof=1)) if arr.size >= 2 else float("nan")
-    return out
+    return BootstrapResult(out, n_boot - n_failed, n_failed)
 
 
 # ---------------------------------------------------------------------------

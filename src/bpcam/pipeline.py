@@ -256,7 +256,7 @@ class AnalysisProducts:
 _PLANE_MODE = {Plane.IMAGE: Mode.DIFFERENCE, Plane.FAR_FIELD: Mode.SUM}
 _PLANE_NAMES = {Plane.IMAGE: ("pos", "x", "cond_var_x_um2"),
                 Plane.FAR_FIELD: ("mom", "p", "cond_var_p_hbar2_per_um2")}
-#: the steps of a plane's analysis, in the order the report lists their warnings
+#: the steps of a plane's analysis, in the order the report lists their warnings and records
 _STEPS = ("map fit", "peak snr", "blocks", "inferred variance", "dimensionality", "bootstrap")
 
 
@@ -301,9 +301,11 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
                    mask_artifacts: bool) -> _PlaneAnalysis:
     """Accumulate one plane's stack, fit its figures and bootstrap their errors.
 
-    A step that fails becomes a warning, and the steps after it go on.  The
-    bootstrap runs whenever this plane has blocks; `analyze` keeps its
-    errors only when the other plane has blocks too.
+    A step whose estimate fails (AnalysisError, FitFailureError) becomes a
+    warning, and the steps after it go on; a ParameterError is a caller
+    mistake and propagates.  The bootstrap runs whenever this plane has
+    blocks; `analyze` keeps its errors and resample counts only when the
+    other plane has blocks too.
     """
     mode = _PLANE_MODE[plane]
     coord, var, _ = _PLANE_NAMES[plane]
@@ -322,7 +324,7 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
     def _try(step, label, fn):
         try:
             return fn()
-        except (AnalysisError, FitFailureError, ParameterError) as exc:
+        except (AnalysisError, FitFailureError) as exc:
             warnings[step] = f"{label}: {exc}"
             return None
 
@@ -356,17 +358,21 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
             "sigma_px": cond_var.width.sigma_px,
             **cond_var.width.fit.as_dict(),
         })
+    # the column's narrow fit is the inferred variance's, made with the same arguments
     dims = _try("dimensionality", f"{name} dimensionality", lambda: dimensionality(
         joints, pitch_um=pitch, extent_px={"col": w, "row": h}, narrow=mode,
-        substitute={"row": "col"} if smeared else None))
+        substitute={"row": "col"} if smeared else None,
+        narrow_fits={"col": cond_var.width} if cond_var else None))
     if dims:
         records["dimensionality"] = (f"dimensionality_{name}",
                                      {ax: asdict(est) for ax, est in dims.axes.items()})
     errors = {}
     if n_boot > 0 and blocks is not None:
         statistic = partial(_plane_statistic, plane, pitch, scale, (h, w), smeared)
-        errors = _try("bootstrap", f"{name} bootstrap", lambda: block_bootstrap(
-            blocks, statistic, n_boot=n_boot, seed=config.seed + 1)) or {}
+        resampled = block_bootstrap(blocks, statistic, n_boot=n_boot, seed=config.seed + 1)
+        errors = resampled.errors
+        records["bootstrap"] = (f"bootstrap_{name}", {"resamples_ok": resampled.n_ok,
+                                                      "resamples_failed": resampled.n_failed})
     nan = float("nan")
     return _PlaneAnalysis(plane, sub, res.n_frames, res.total_ones,
                           width.sigma_um if width else nan, snr.value if snr else nan,
@@ -455,10 +461,10 @@ def analyze(
     if se_x is not None and se_p is not None and np.isfinite(var_x) and np.isfinite(var_p):
         errors["epr_product_hbar2"] = float(np.hypot(var_x * se_p, var_p * se_x))
     # step by step, the image plane first
-    warnings = [p.warnings[step] for step in _STEPS for p in planes
-                if step in p.warnings and (boot or step != "bootstrap")]
+    steps = [step for step in _STEPS if boot or step != "bootstrap"]
+    warnings = [p.warnings[step] for step in steps for p in planes if step in p.warnings]
     detail = {"warnings": list(warnings)}
-    detail.update(p.records[step] for step in _STEPS for p in planes if step in p.records)
+    detail.update(p.records[step] for step in steps for p in planes if step in p.records)
 
     h, w = config.roi
     prediction = predict(config.source(), config.optics(Plane.IMAGE),

@@ -1,5 +1,7 @@
 """Correlation accumulators against a brute-force pair-enumeration oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from bpcam.correlate import (
     MarginalStack,
     default_mask,
     joint_excess_histogram,
+    pair_axis,
     pair_histogram,
 )
-from bpcam.errors import ConsistencyError, ParameterError
+from bpcam.errors import AnalysisError, ConsistencyError, ParameterError
 from bpcam.inference import make_blocks
 
 
@@ -63,6 +66,31 @@ def run_accumulator(frames, **kwargs):
     return acc.finalize()
 
 
+def collapse(m):
+    """A (W, W) integer pair matrix J[a, b] summed by b - a and by a + b, in loops."""
+    w = m.shape[0]
+    diff = np.zeros(2 * w - 1, dtype=np.int64)
+    summ = np.zeros(2 * w - 1, dtype=np.int64)
+    for a in range(w):
+        for b in range(w):
+            diff[b - a + w - 1] += m[a, b]
+            summ[a + b] += m[a, b]
+    return {Mode.DIFFERENCE: diff, Mode.SUM: summ}
+
+
+def assert_joint_equals_brute_force(joint, counts):
+    """`joint` against the int64 products of the marginal rows `counts`."""
+    b = counts.astype(np.int64)
+    for got, want in ((joint.signal, collapse(b.T @ b)),
+                      (joint.reference, collapse(b[:-1].T @ b[1:]))):
+        assert set(got) == set(Mode)
+        for mode in Mode:
+            assert got[mode].dtype == np.int64
+            np.testing.assert_array_equal(got[mode], want[mode])
+    np.testing.assert_array_equal(joint.self_counts, b.sum(axis=0))
+    assert joint.n_frames == len(b) and joint.n_reference_pairs == len(b) - 1
+
+
 @pytest.mark.parametrize(
     "sparse_threshold",
     [10**9, 0, 8],
@@ -95,6 +123,67 @@ def test_sparse_and_spectral_routes_agree(h, w, n, p, seed):
                  (sparse.sum_map, spectral.sum_map)):
         np.testing.assert_array_equal(a.signal, b.signal)
         np.testing.assert_array_equal(a.reference, b.reference)
+
+
+def frame_with(rng, h, w, n):
+    """An (h, w) frame with exactly n fired pixels."""
+    frame = np.zeros(h * w, dtype=bool)
+    frame[rng.choice(h * w, size=n, replace=False)] = True
+    return frame.reshape(h, w)
+
+
+class CountingAccumulator(StackAccumulator):
+    transforms = 0
+
+    def _transform(self, frame):
+        self.transforms += 1
+        return super()._transform(frame)
+
+
+def test_route_crossings_match_brute_force(rng):
+    """Neighbouring frames on either side of sparse_threshold, in every order.
+
+    A dense frame is transformed once into its own buffer.  Its sparse
+    neighbour is transformed on demand for the adjacent reference, on
+    either side: sparse -> dense transforms the previous frame, and dense ->
+    sparse the current one.  Two sparse neighbours hold at most
+    sparse_threshold**2 pairs and always take the sparse route, so no
+    frame pair needs both transforms on demand.
+    """
+    counts = [3, 20, 2, 5, 30, 25, 1, 12, 8]  # threshold 8: dense at 20, 30, 25, 12
+    frames = [frame_with(rng, 7, 9, n) for n in counts]
+    acc = CountingAccumulator((7, 9), sparse_threshold=8)
+    for f in frames:
+        acc.add(f)
+    res = acc.finalize()
+    # 4 dense frames; on demand 3 (before 20), 5 (before 30), 2 (after 20),
+    # 8 (after 12) and 1 (after 25), whose spectrum is kept for its reference
+    # with 12
+    assert acc.transforms == 4 + 5
+    d_sig, d_ref, s_sig, s_ref = brute_force_maps(frames)
+    np.testing.assert_array_equal(res.difference.signal, d_sig)
+    np.testing.assert_array_equal(res.difference.reference, d_ref)
+    np.testing.assert_array_equal(res.sum_map.signal, s_sig)
+    np.testing.assert_array_equal(res.sum_map.reference, s_ref)
+
+
+def test_dense_frames_allocate_no_new_spectra(rng):
+    # the transforms and products write into buffers made once; a fresh
+    # 405 x 203 spectrum alone would be 1.3 MB
+    frames = [rng.random((201, 201)) < 0.04 for _ in range(14)]
+    acc = StackAccumulator((201, 201))
+    for f in frames[:4]:
+        acc.add(f)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for f in frames[4:]:
+            acc.add(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 300_000
+    assert acc.finalize().n_frames == 14
 
 
 def test_pair_totals_conserved(rng):
@@ -165,16 +254,9 @@ def test_joint_distribution_matches_marginal_products(rng):
     frames = random_stack(rng, 6, 7, 5, 0.4)
     res = run_accumulator(frames)
     ms = res.marginals["col"]
-    joint = ms.joint()
-    v = ms.counts.astype(np.int64)
-    np.testing.assert_array_equal(joint.counts, v.T @ v)
-    np.testing.assert_array_equal(joint.reference, v[:-1].T @ v[1:])
-    np.testing.assert_array_equal(joint.self_counts, v.sum(axis=0))
-    assert joint.n_frames == 5 and joint.n_reference_pairs == 4
-
+    assert_joint_equals_brute_force(ms.joint(), ms.counts)
     block = ms.joint(1, 4)
-    vb = v[1:4]
-    np.testing.assert_array_equal(block.counts, vb.T @ vb)
+    assert_joint_equals_brute_force(block, ms.counts[1:4])
     assert block.n_frames == 3
 
     with pytest.raises(ParameterError):
@@ -213,10 +295,19 @@ def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
     assert len({blk.n_frames for blk in blocks}) == 2
     edges = np.cumsum([0] + [blk.n_frames for blk in blocks])
     for lo, hi, blk in [(0, n, ms.joint()), *zip(edges[:-1], edges[1:], blocks)]:
-        b = counts[lo:hi].astype(np.int64)
-        np.testing.assert_array_equal(blk.counts, b.T @ b)
-        np.testing.assert_array_equal(blk.reference, b[:-1].T @ b[1:])
-        np.testing.assert_array_equal(blk.self_counts, b.sum(axis=0))
+        assert_joint_equals_brute_force(blk, counts[lo:hi])
+
+
+def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
+    # each block keeps 1-D histograms over the 2W - 1 pair coordinates, not
+    # W x W matrices: 4 (2W - 1) pair counts and W self-pair totals
+    w = 201
+    counts = rng.poisson(8.0, size=(40, w)).astype(np.int32)
+    blocks = make_blocks({"col": MarginalStack("col", counts)}, 10)["col"]
+    for blk in blocks:
+        arrays = [*blk.signal.values(), *blk.reference.values(), blk.self_counts]
+        assert all(a.ndim == 1 for a in arrays)
+        assert sum(a.size for a in arrays) == 4 * (2 * w - 1) + w
 
 
 def test_accumulate_wrapper_accepts_array_likes(rng):
@@ -259,27 +350,28 @@ def test_peak_snr_detects_a_planted_peak(rng):
     snr = peak_snr(sub_like)
     assert snr.value > 30.0
     assert snr.n_peak_bins == 9
-    # a tight annulus far outside the map is rejected
-    with pytest.raises(ParameterError):
+    # a tight annulus far outside the map is a failed estimate
+    with pytest.raises(AnalysisError, match="empty"):
         peak_snr(sub_like, annulus=(500, 600))
+    sub_like.values = np.ones_like(values)
+    with pytest.raises(AnalysisError, match="zero variance"):
+        peak_snr(sub_like)
 
 
 def test_pair_histogram_oracle(rng):
     m = rng.integers(0, 5, size=(6, 6))
-    axis_d, hist_d = pair_histogram(m, Mode.DIFFERENCE)
-    axis_s, hist_s = pair_histogram(m, Mode.SUM)
-    want_d = np.zeros(11, dtype=np.int64)
-    want_s = np.zeros(11, dtype=np.int64)
-    for a in range(6):
-        for b in range(6):
-            want_d[b - a + 5] += m[a, b]
-            want_s[a + b] += m[a, b]
-    assert axis_d.tolist() == list(range(-5, 6))
-    assert axis_s.tolist() == list(range(0, 11))
-    np.testing.assert_array_equal(hist_d, want_d)
-    np.testing.assert_array_equal(hist_s, want_s)
+    hist = pair_histogram(m)
+    want = collapse(m)
+    assert pair_axis(6, Mode.DIFFERENCE).tolist() == list(range(-5, 6))
+    assert pair_axis(6, Mode.SUM).tolist() == list(range(0, 11))
+    for mode in Mode:
+        assert hist[mode].dtype == np.int64
+        np.testing.assert_array_equal(hist[mode], want[mode])
+    # float64 entries that hold integers collapse to the same counts
+    for mode, counts in pair_histogram(m.astype(np.float64)).items():
+        np.testing.assert_array_equal(counts, want[mode])
     with pytest.raises(ParameterError):
-        pair_histogram(np.zeros((3, 4)), Mode.SUM)
+        pair_histogram(np.zeros((3, 4)))
 
 
 def test_joint_excess_removes_self_pairs(rng):
@@ -290,8 +382,6 @@ def test_joint_excess_removes_self_pairs(rng):
     counts = np.zeros((n, w), dtype=np.int32)
     cols = rng.integers(0, w, size=n)
     counts[np.arange(n), cols] = 1
-    from bpcam.correlate import MarginalStack
-
     joint = MarginalStack("col", counts).joint()
     axis, kept = joint_excess_histogram(joint, Mode.DIFFERENCE,
                                         remove_self_pairs=False)
@@ -300,3 +390,9 @@ def test_joint_excess_removes_self_pairs(rng):
     assert kept[zero] - removed[zero] == pytest.approx(1.0)
     off_zero = axis != 0
     np.testing.assert_allclose(kept[off_zero], removed[off_zero])
+    # on the sum axis a photon in pixel a pairs with itself at a + b = 2a
+    axis, kept = joint_excess_histogram(joint, Mode.SUM, remove_self_pairs=False)
+    _, removed = joint_excess_histogram(joint, Mode.SUM)
+    assert axis.tolist() == list(range(2 * w - 1))
+    np.testing.assert_allclose(kept - removed,
+                               np.bincount(2 * cols, minlength=2 * w - 1) / n)

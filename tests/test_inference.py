@@ -21,7 +21,7 @@ from bpcam import (
     make_blocks,
     shaded_gaussian,
 )
-from bpcam.correlate import JointDistribution, MarginalStack, SubtractedMap
+from bpcam.correlate import JointDistribution, MarginalStack, SubtractedMap, pair_histogram
 from bpcam.errors import AnalysisError, FitFailureError, ParameterError
 from bpcam.inference import (
     PIXEL_VAR_PAIR,
@@ -140,8 +140,8 @@ def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0):
     counts = np.rint(scale * density).astype(np.int64)
     return JointDistribution(
         axis="col",
-        counts=counts,
-        reference=np.zeros((w, w), dtype=np.int64),
+        signal=pair_histogram(counts),
+        reference=pair_histogram(np.zeros((w, w), dtype=np.int64)),
         self_counts=np.zeros(w, dtype=np.int64),
         n_frames=1,
         n_reference_pairs=1,
@@ -159,7 +159,7 @@ def test_fit_joint_width_ignores_the_zero_offset_bin():
     """The bin a binary camera cannot populate honestly is always excluded."""
     joint = synthetic_joint()
     crippled = synthetic_joint()
-    np.fill_diagonal(crippled.counts, 0)  # kill every b - a = 0 count
+    crippled.signal[Mode.DIFFERENCE][200] = 0  # kill every b - a = 0 count (W = 201)
     a = fit_joint_width(joint, Mode.DIFFERENCE, 16.0, window_px=40)
     b = fit_joint_width(crippled, Mode.DIFFERENCE, 16.0, window_px=40)
     assert b.sigma_px == pytest.approx(a.sigma_px, rel=1e-9)
@@ -219,6 +219,10 @@ def test_dimensionality_products_and_substitution():
     est = dimensionality(joints, pitch_um=16.0, extent_px=201,
                          narrow=Mode.DIFFERENCE)
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
+    # a narrow fit made beforehand with the same arguments is reused as it is
+    narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0, window_px=40)
+    assert dimensionality(joints, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
+                          narrow_fits={"col": narrow}) == est
 
     sub = dimensionality(joints, pitch_um=16.0, extent_px={"col": 201, "row": 201},
                          narrow=Mode.DIFFERENCE, substitute={"row": "col"})
@@ -274,7 +278,8 @@ def test_blocks_pool_back_to_the_full_joint():
     blocks = make_blocks({"col": ms}, 10)
     assert len(blocks["col"]) == 10
     pooled = combine_joints(blocks["col"])
-    np.testing.assert_array_equal(pooled.counts, full.counts)
+    for mode in Mode:
+        np.testing.assert_array_equal(pooled.signal[mode], full.signal[mode])
     np.testing.assert_array_equal(pooled.self_counts, full.self_counts)
     assert pooled.n_frames == full.n_frames
     # pooling loses exactly the adjacent-frame pairs straddling block edges
@@ -282,14 +287,20 @@ def test_blocks_pool_back_to_the_full_joint():
     edges = np.linspace(0, ms.n_frames, 11).astype(int)
     totals = ms.counts.sum(axis=1).astype(np.int64)
     straddle = sum(int(totals[e - 1] * totals[e]) for e in edges[1:-1])
-    assert int(full.reference.sum() - pooled.reference.sum()) == straddle
+    for mode in Mode:
+        assert int(full.reference[mode].sum() - pooled.reference[mode].sum()) == straddle
 
 
 def test_make_blocks_validation():
     ms = poisson_marginals(n_frames=40)
+    with pytest.raises(ParameterError, match="at least 1 block"):
+        make_blocks({"col": ms}, 0)
+    # a bootstrap needs 10 blocks; pooling needs only one
     with pytest.raises(ParameterError, match="at least 10"):
-        make_blocks({"col": ms}, 2)
-    with pytest.raises(ParameterError, match="too few"):
+        block_bootstrap(make_blocks({"col": ms}, 2), lambda joints: {}, n_boot=5)
+    assert combine_joints(make_blocks({"col": ms}, 2)["col"]).n_frames == 40
+    # a stack too short for its blocks is a failed estimate, not a caller mistake
+    with pytest.raises(AnalysisError, match="too few"):
         make_blocks({"col": poisson_marginals(n_frames=12)}, 10)
     with pytest.raises(ParameterError, match="disagree"):
         make_blocks({"col": ms, "row": poisson_marginals(n_frames=30)}, 10)
@@ -300,18 +311,19 @@ def test_make_blocks_validation():
 def test_block_bootstrap_constant_statistic_has_zero_error():
     blocks = make_blocks({"col": poisson_marginals()}, 10)
     out = block_bootstrap(blocks, lambda joints: {"c": 1.0}, n_boot=20, seed=1)
-    assert out["c"] == 0.0
+    assert out.errors["c"] == 0.0
+    assert (out.n_ok, out.n_failed) == (20, 0)
 
 
 def test_block_bootstrap_reproducible_and_positive():
     blocks = make_blocks({"col": poisson_marginals()}, 10)
 
     def stat(joints):
-        return {"total": float(joints["col"].counts.sum())}
+        return {"total": float(joints["col"].signal[Mode.DIFFERENCE].sum())}
 
-    a = block_bootstrap(blocks, stat, n_boot=30, seed=3)
-    b = block_bootstrap(blocks, stat, n_boot=30, seed=3)
-    c = block_bootstrap(blocks, stat, n_boot=30, seed=4)
+    a = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors
+    b = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors
+    c = block_bootstrap(blocks, stat, n_boot=30, seed=4).errors
     assert a["total"] == b["total"] > 0.0
     assert a["total"] != c["total"]
 
@@ -327,7 +339,9 @@ def test_block_bootstrap_skips_failing_resamples():
         return {"v": float(calls["n"])}
 
     out = block_bootstrap(blocks, flaky, n_boot=20, seed=2)
-    assert np.isfinite(out["v"]) and out["v"] > 0.0
+    assert np.isfinite(out.errors["v"]) and out.errors["v"] > 0.0
+    assert out.n_ok + out.n_failed == 20
+    assert out.n_failed == 10
 
 
 def test_block_bootstrap_rejects_mismatched_axes():

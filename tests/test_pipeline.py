@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, pipeline
+from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, inference, pipeline
 from bpcam.correlate import Mode, StackAccumulator, accumulate, subtract
 from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
@@ -199,6 +199,51 @@ def test_analyze_worker_failure_is_raised_and_reaped(small_run, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_analyze_worker_parameter_error_reaches_the_caller(small_run, monkeypatch):
+    # a ParameterError is a caller mistake: it is not turned into a warning
+    cfg, sim, products = small_run
+    fit_map_width = pipeline.fit_map_width
+
+    def failing(sub, *args, **kwargs):
+        if sub.mode is Mode.DIFFERENCE:
+            raise ParameterError("image plane mistake in the worker")
+        return fit_map_width(sub, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_map_width", failing)
+    with pytest.raises(ParameterError, match="image plane mistake in the worker"):
+        analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkeypatch):
+    """The column's narrow fit for the mode count is the inferred variance's
+    own: one `curve_fit` fewer per plane, and the same mode counts."""
+    cfg, sim, products = small_run
+    log = tmp_path / "curve_fit.log"
+    curve_fit = inference.curve_fit
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as fh:  # the forked worker appends to the same file
+            fh.write(".")
+        return curve_fit(*args, **kwargs)
+
+    def fits_and_report():
+        log.write_text("")
+        redone = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+        return len(log.read_text()), redone.report
+
+    monkeypatch.setattr(inference, "curve_fit", counted)
+    n_reused, reused = fits_and_report()
+    dimensionality = pipeline.dimensionality
+    monkeypatch.setattr(pipeline, "dimensionality",
+                        lambda joints, narrow_fits=None, **kw: dimensionality(joints, **kw))
+    n_fresh, fresh = fits_and_report()
+    assert n_fresh - n_reused == 2
+    assert np.isfinite([reused.d_pos, reused.d_mom]).all()
+    assert (reused.d_pos, reused.d_mom) == (fresh.d_pos, fresh.d_mom)
+    assert reused.as_dict() == products.report.as_dict()
+
+
 def test_plane_order_does_not_change_the_stacks(tmp_path):
     cfg = RunConfig().replace(**TINY)
     simulate(cfg, tmp_path / "default")
@@ -316,6 +361,12 @@ def test_bootstrap_errors_present_only_when_requested(small_run, tmp_path):
                 "cond_var_p_hbar2_per_um2", "d_pos", "d_mom",
                 "epr_product_hbar2"):
         assert errs[key] > 0.0
+    # each plane records how many resamples gave its errors
+    for name in ("image", "farfield"):
+        counts = redone.report.detail[f"bootstrap_{name}"]
+        assert counts["resamples_ok"] + counts["resamples_failed"] == 20
+        assert counts["resamples_ok"] >= 2
+    assert "bootstrap_image" not in products.report.detail
 
 
 def test_smear_artifact_is_masked_for_fits(small_run):
