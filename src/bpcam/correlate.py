@@ -21,9 +21,10 @@ Two interchangeable accumulation routes are kept deliberately:
   * spectral: zero-padded FFTs, accumulating sum |F|^2, sum F^2 and the
     adjacent-frame cross products in the frequency domain with a single
     inverse transform at the end - O(HW log HW) per frame regardless of
-    occupancy.  The forward transforms and the products write into buffers
-    allocated once per accumulator, through the `out=` argument that
-    numpy.fft has had since numpy 2.0 (scipy.fft has none).
+    occupancy.  Each axis is padded to the next 11-smooth length
+    (`next_fast_len`).  The forward transforms and the products write into
+    buffers allocated once per accumulator, through the `out=` argument that
+    numpy.fft has had since numpy 2.0.
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import AnalysisError, ConsistencyError, ParameterError
 
@@ -171,6 +171,19 @@ class StackResult:
         return int(self.ones_per_frame.sum())
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth length >= n: the lengths pocketfft transforms fastest."""
+    m = int(n)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def _pair_totals(ones: np.ndarray) -> tuple[int, int]:
     """(sum N_i^2, sum N_i N_{i+1}) - expected map totals for checks."""
     ones = ones.astype(np.int64)
@@ -215,7 +228,7 @@ class StackAccumulator:
         self._s_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_s else None
         # spectral accumulators, held transposed (column frequency first), so
         # that the forward transform's complex pass runs along the last axis
-        self._pad = (_fft.next_fast_len(2 * h - 1), _fft.next_fast_len(2 * w - 1))
+        self._pad = (next_fast_len(2 * h - 1), next_fast_len(2 * w - 1))
         spec_shape = (self._pad[1] // 2 + 1, self._pad[0])
         self._sd = np.zeros(spec_shape, dtype=np.float64) if self._want_d else None
         self._ss = np.zeros(spec_shape, dtype=np.complex128) if self._want_s else None
@@ -332,7 +345,7 @@ class StackAccumulator:
     def _invert(self, spec: np.ndarray, shift: bool, expected_total: int) -> np.ndarray:
         """One inverse transform of a (transposed) spectrum -> integer window,
         with exactness checks."""
-        full = _fft.irfft2(spec.T, s=self._pad)
+        full = np.fft.irfft2(spec.T, s=self._pad)
         if shift:
             win = full[np.ix_(self._drows, self._dcols)]
         else:

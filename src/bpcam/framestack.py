@@ -25,6 +25,7 @@ its own handle), so it can be streamed twice by calibration passes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -109,8 +110,47 @@ def _parse_header(raw: bytes, path) -> StackHeader:
     return StackHeader(kind, plane, width, height, count, seed, digest)
 
 
+class AtomicFile:
+    """A file written beside `path` that replaces it only when closed cleanly.
+
+    The open handle writes to ``<path>.<pid>.tmp``.  `commit` closes it and
+    moves it onto `path` with `os.replace`; `discard` closes and deletes
+    it, leaving any earlier file at `path` as it was.  As a context manager
+    it yields the handle, commits when the block ends cleanly and discards
+    when it raises.
+    """
+
+    def __init__(self, path, mode: str = "w", **open_kwargs):
+        self.path = os.fspath(path)
+        self.tmp_path = f"{self.path}.{os.getpid()}.tmp"
+        self.fh = open(self.tmp_path, mode, **open_kwargs)
+
+    def commit(self) -> None:
+        try:
+            self.fh.close()
+            os.replace(self.tmp_path, self.path)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self) -> None:
+        self.fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.tmp_path)
+
+    def __enter__(self):
+        return self.fh
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.commit()
+        else:
+            self.discard()
+        return False
+
+
 class StackWriter:
-    """Sequential writer into a sibling temporary file.
+    """Sequential writer into a sibling temporary file (an `AtomicFile`).
 
     `close` (or a `with` block that ends cleanly) patches the frame count
     into the header and moves the file onto `path`; a `with` block that
@@ -136,8 +176,8 @@ class StackWriter:
         self.path = os.fspath(path)
         self.header = StackHeader(kind, plane, w, h, 0, int(seed), bytes(config_digest))
         self._n = 0
-        self._tmp_path = f"{self.path}.{os.getpid()}.tmp"
-        self._fh = open(self._tmp_path, "wb")
+        self._file = AtomicFile(self.path, "wb")
+        self._fh = self._file.fh
         self._fh.write(self.header.pack())
 
     def write(self, frame) -> None:
@@ -160,19 +200,17 @@ class StackWriter:
         try:
             self._fh.seek(_FRAME_COUNT_OFFSET)
             self._fh.write(struct.pack("<I", self._n))
-            self._fh.close()
-            os.replace(self._tmp_path, self.path)
         except BaseException:
             self._discard()
             raise
         self._fh = None
+        self._file.commit()
 
     def _discard(self) -> None:
         if self._fh is None:
             return
-        self._fh.close()
         self._fh = None
-        os.unlink(self._tmp_path)
+        self._file.discard()
 
     @property
     def n_frames(self) -> int:

@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .correlate import (
     JointDistribution,
@@ -37,8 +36,6 @@ from .correlate import (
 from .errors import AnalysisError, FitFailureError, ParameterError
 from .model import HEISENBERG_PRODUCT
 
-#: variance added by one round of pixel binning, in pixel^2
-PIXEL_VAR_SINGLE = 1.0 / 12.0
 #: variance added to a pair coordinate (sum or difference of two binned values)
 PIXEL_VAR_PAIR = 1.0 / 6.0
 
@@ -48,6 +45,14 @@ SNR_GATE = 5.0
 
 def gaussian(x, amplitude, center, sigma, offset):
     return offset + amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
+
+
+def gaussian_jacobian(x, amplitude, center, sigma, offset=0.0):
+    """Derivatives of `gaussian` by (amplitude, center, sigma, offset), one column each."""
+    u = (x - center) / sigma
+    g = np.exp(-0.5 * u * u)
+    dc = amplitude * g * u / sigma
+    return np.column_stack([g, dc, dc * u, np.ones_like(g)])
 
 
 def shaded_gaussian(x, amplitude, center, sigma, shade):
@@ -66,6 +71,104 @@ def shaded_gaussian(x, amplitude, center, sigma, shade):
     return amplitude * g * (1.0 - shade * g) ** 2
 
 
+def shaded_gaussian_jacobian(x, amplitude, center, sigma, shade):
+    """Derivatives of `shaded_gaussian` by (amplitude, center, sigma, shade)."""
+    u = (x - center) / sigma
+    g = np.exp(-0.5 * u * u)
+    screen = 1.0 - shade * g
+    dc = amplitude * screen * (1.0 - 3.0 * shade * g) * g * u / sigma
+    return np.column_stack([g * screen ** 2, dc, dc * u, -2.0 * amplitude * g * g * screen])
+
+
+#: a fit may evaluate its model at most this many times per parameter
+MAX_NFEV_PER_PARAM = 50
+_FTOL = 1e-10  # relative cost reduction below which a fit has converged
+_XTOL = 1e-12  # relative scaled step below which a fit has converged
+_BACKOFF = 0.5  # a step that would cross a bound goes this fraction of the way to it
+_SNAP = 1e-4  # ... and lands on it within this fraction of the parameter's scale
+
+
+def curve_fit(model, jac, x, y, p0, bounds):
+    """Bounded Levenberg-Marquardt least squares of ``model(x, *p)`` against `y`.
+
+    Returns (popt, pcov, nfev).  Each iteration solves
+    (JtJ + lam diag(JtJ)) h = -Jt r, with `jac(x, *p)` the analytic
+    Jacobian J, over the parameters that an outward gradient does not hold
+    on a bound, and accepts the step when the cost falls; lam follows the
+    ratio of actual to predicted reduction (Nielsen's update).  A step
+    that would cross a bound goes only part of the way and snaps onto the
+    bound once close, so a parameter reaches a bound over a few steps:
+    landing on amplitude 0 at once would leave every other derivative zero.
+    pcov is pinv(JtJ) * cost / (n - p), the scaling of an unweighted fit.
+    Raises FitFailureError past MAX_NFEV_PER_PARAM evaluations per
+    parameter, on a singular system or on a non-finite cost.
+    """
+    lower, upper = (np.asarray(b, dtype=np.float64) for b in bounds)
+    p = np.clip(np.asarray(p0, dtype=np.float64), lower, upper)
+    span = upper - lower
+    tol = _SNAP * (np.abs(p) + np.where(np.isfinite(span), span, 0.0))
+    max_nfev = MAX_NFEV_PER_PARAM * p.size
+
+    def cost_at(q):
+        r = model(x, *q) - y
+        c = float(r @ r)
+        if not math.isfinite(c):
+            raise FitFailureError(f"non-finite cost {c} after {nfev} evaluations")
+        return r, c
+
+    nfev = 1
+    r, cost = cost_at(p)
+    lam, nu = 1.0, 2.0  # damping relative to diag(JtJ)
+    try:
+        while cost > 0.0:
+            J = jac(x, *p)
+            A = J.T @ J
+            g = J.T @ r
+            free = ~(((p - lower <= tol) & (g > 0.0)) | ((upper - p <= tol) & (g < 0.0)))
+            d = np.maximum(np.diag(A), 1e-12 * max(np.diag(A).max(), 1e-300))
+            while True:
+                h = np.zeros_like(p)
+                h[free] = np.linalg.solve(A[np.ix_(free, free)] + lam * np.diag(d[free]),
+                                          -g[free])
+                trial = p + h
+                trial = np.where(trial < lower, p + _BACKOFF * (lower - p), trial)
+                trial = np.where(trial > upper, p + _BACKOFF * (upper - p), trial)
+                trial = np.where(trial - lower <= tol, lower,
+                                 np.where(upper - trial <= tol, upper, trial))
+                h = trial - p
+                if np.sqrt(d @ h ** 2) <= _XTOL * np.sqrt(d @ p ** 2):
+                    return p, _covariance(J, cost, x.size), nfev
+                if nfev >= max_nfev:
+                    raise FitFailureError(f"gaussian fit did not converge in {nfev} evaluations")
+                nfev += 1
+                r_new, cost_new = cost_at(trial)
+                predicted = -float(h @ (2.0 * g + A @ h))
+                rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+                if rho > 0.0:
+                    break
+                lam *= nu
+                nu *= 2.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+            nu = 2.0
+            converged = max(cost - cost_new, predicted) <= _FTOL * cost
+            p, r, cost = trial, r_new, cost_new
+            if converged:
+                break
+        return p, _covariance(jac(x, *p), cost, x.size), nfev
+    except np.linalg.LinAlgError as exc:
+        raise FitFailureError(f"gaussian fit failed after {nfev} evaluations: {exc}") from exc
+
+
+def _covariance(J: np.ndarray, cost: float, n: int) -> np.ndarray:
+    """pinv(JtJ) * cost / (n - p), from the SVD of J with curve_fit's cutoff."""
+    dof = n - J.shape[1]
+    _, s, vt = np.linalg.svd(J, full_matrices=False)
+    keep = s > np.finfo(np.float64).eps * max(J.shape) * s[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep] * (cost / max(dof, 1))
+    return pcov if dof > 0 and np.isfinite(pcov).all() else np.full(pcov.shape, np.inf)
+
+
 @dataclass
 class GaussianFit:
     amplitude: float
@@ -76,6 +179,7 @@ class GaussianFit:
     center_err: float
     n_points: int
     shade: float = 0.0
+    nfev: int = 0  # model evaluations the fit took
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -118,7 +222,8 @@ def fit_gaussian(
     fits `shaded_gaussian` instead, which corrects the width of broad
     domes whose centre is suppressed by binary-pixel saturation; it
     requires a fixed offset.  Raises FitFailureError when the optimiser
-    fails or returns a degenerate width.
+    fails or returns a degenerate width: sigma on a bound, or a zero
+    amplitude that leaves sigma undetermined.
     """
     if shaded and fix_offset is None:
         raise ParameterError("shaded fits require a fixed offset")
@@ -143,18 +248,19 @@ def fit_gaussian(
 
         def model(xx, a, c, s, b):
             return offset + shaded_gaussian(xx, a, c, s, b)
+        jac = shaded_gaussian_jacobian
     elif fix_offset is None:
-        model = gaussian
+        model, jac = gaussian, gaussian_jacobian
         p0.append(offset)
         lower.append(-np.inf)
         upper.append(np.inf)
     else:
         def model(xx, a, c, s):
             return gaussian(xx, a, c, s, offset)
-    try:
-        popt, pcov = curve_fit(model, x, y, p0=p0, bounds=(lower, upper), maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitFailureError(f"gaussian fit did not converge: {exc}") from exc
+
+        def jac(xx, a, c, s):
+            return gaussian_jacobian(xx, a, c, s)[:, :3]
+    popt, pcov, nfev = curve_fit(model, jac, x, y, p0, (lower, upper))
     perr = np.sqrt(np.diag(pcov))
     fit = GaussianFit(
         amplitude=float(popt[0]),
@@ -165,9 +271,12 @@ def fit_gaussian(
         center_err=float(perr[1]),
         n_points=int(x.size),
         shade=float(popt[3]) if shaded else 0.0,
+        nfev=nfev,
     )
-    if not np.isfinite(fit.sigma) or fit.sigma <= 2e-9 or fit.sigma >= 9.9 * span:
-        raise FitFailureError(f"fitted width degenerate: sigma={fit.sigma:g} over span {span:g}")
+    if not np.isfinite(fit.sigma) or fit.sigma <= 2e-9 or fit.sigma >= 9.9 * span \
+            or fit.amplitude <= 0.0:
+        raise FitFailureError(f"fitted width degenerate: sigma={fit.sigma:g} over span {span:g} "
+                              f"at amplitude {fit.amplitude:g}")
     return fit
 
 

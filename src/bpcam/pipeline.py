@@ -48,6 +48,7 @@ from .framestack import (
     PLANE_DARK,
     PLANE_FARFIELD,
     PLANE_IMAGE,
+    AtomicFile,
     StackReader,
     StackWriter,
 )
@@ -202,7 +203,7 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
         dark_s=dark_s,
         elapsed_s=time.perf_counter() - t0,
     )
-    with open(out / "sim_summary.json", "w", encoding="utf-8") as fh:
+    with AtomicFile(out / "sim_summary.json", encoding="utf-8") as fh:
         json.dump(result.summary(), fh, indent=2)
     return result
 

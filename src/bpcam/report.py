@@ -9,6 +9,7 @@ import os
 from pathlib import Path
 
 from .correlate import Mode, SubtractedMap
+from .framestack import AtomicFile
 
 
 def _fmt(value, unc=None) -> str:
@@ -84,10 +85,10 @@ def write_report(report, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     txt_path = out / "report.txt"
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with AtomicFile(json_path, encoding="utf-8") as fh:
         fh.write(report.to_json() if hasattr(report, "to_json") else json.dumps(report, indent=2))
         fh.write("\n")
-    with open(txt_path, "w", encoding="utf-8") as fh:
+    with AtomicFile(txt_path, encoding="utf-8") as fh:
         fh.write(format_report(report))
         fh.write("\n")
     return {"json": str(json_path), "txt": str(txt_path)}
@@ -105,7 +106,7 @@ def write_cross_section_csv(sub: SubtractedMap, path, pitch_um: float) -> str:
 
     The header row is always written; an empty map yields a header-only file.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with AtomicFile(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coordinate_px", "coordinate_um", "excess_per_frame", "masked"])
         if sub.values.size == 0:

@@ -16,7 +16,7 @@ from bpcam.pipeline import run
 
 settings.register_profile(
     "bpcam",
-    deadline=None,  # scipy fits and FFTs blow the default 200 ms budget
+    deadline=None,  # Gaussian fits and FFTs blow the default 200 ms budget
     max_examples=25,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],

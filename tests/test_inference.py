@@ -23,11 +23,16 @@ from bpcam import (
 )
 from bpcam.correlate import JointDistribution, MarginalStack, SubtractedMap, pair_histogram
 from bpcam.errors import AnalysisError, FitFailureError, ParameterError
+from bpcam import inference
+from bpcam.correlate import next_fast_len
 from bpcam.inference import (
+    MAX_NFEV_PER_PARAM,
     PIXEL_VAR_PAIR,
     axis_dimensionality,
     deconvolved_width,
     gaussian,
+    gaussian_jacobian,
+    shaded_gaussian_jacobian,
 )
 
 
@@ -80,6 +85,84 @@ def test_fit_gaussian_failure_modes(rng):
         fit_gaussian(x, np.zeros(x.size), fix_offset=0.0)  # nothing above baseline
     with pytest.raises(ParameterError, match="fixed offset"):
         fit_gaussian(x, np.exp(-0.5 * x**2), shaded=True)
+
+
+@pytest.mark.parametrize("model, jacobian, params", [
+    (gaussian, gaussian_jacobian, (2.0, 0.5, 1.5, 0.3)),
+    (gaussian, gaussian_jacobian, (-1.0, -2.0, 0.7, 0.0)),
+    (shaded_gaussian, shaded_gaussian_jacobian, (2.0, 0.5, 1.5, 0.3)),
+    (shaded_gaussian, shaded_gaussian_jacobian, (3.0, -1.0, 2.5, 0.8)),
+])
+def test_analytic_jacobians_match_central_differences(model, jacobian, params):
+    x = np.linspace(-6.0, 6.0, 61)
+    step = 1e-6
+    numeric = np.empty((x.size, len(params)))
+    for i in range(len(params)):
+        up, down = list(params), list(params)
+        up[i] += step
+        down[i] -= step
+        numeric[:, i] = (model(x, *up) - model(x, *down)) / (2 * step)
+    np.testing.assert_allclose(jacobian(x, *params), numeric, rtol=0, atol=1e-8)
+
+
+def test_fit_at_the_evaluation_cap_raises_and_names_the_count(rng, monkeypatch):
+    x = np.arange(-30.0, 31.0)
+    y = noisy_gaussian(x, 5.0, 2.0, 4.0, 0.0, 0.05, rng)
+    assert fit_gaussian(x, y, fix_offset=0.0).nfev <= 3 * MAX_NFEV_PER_PARAM
+    monkeypatch.setattr(inference, "MAX_NFEV_PER_PARAM", 1)
+    with pytest.raises(FitFailureError, match="did not converge in 3 evaluations"):
+        fit_gaussian(x, y, fix_offset=0.0)
+    with pytest.raises(FitFailureError, match="did not converge in 4 evaluations"):
+        fit_gaussian(x, y)
+
+
+def test_fit_survives_a_huge_gain_ratio():
+    """A Jacobian that understates the slope 1e120-fold predicts almost no
+    reduction, so accepted steps beat it by ~1e120; the damping update
+    must take that in stride and still reach the least-squares line."""
+    x = np.linspace(-1.0, 1.0, 21)
+    popt, _, nfev = inference.curve_fit(
+        lambda xx, a, b: a + b * xx,
+        lambda xx, a, b: 1e-120 * np.column_stack([np.ones_like(xx), xx]),
+        x, 2.0 + 3.0 * x, [0.0, 0.0], ([-10.0, -10.0], [10.0, 10.0]))
+    np.testing.assert_allclose(popt, [2.0, 3.0], atol=1e-9)
+    assert nfev <= 2 * MAX_NFEV_PER_PARAM
+
+
+def test_fits_reach_the_cost_of_scipys_curve_fit(rng, monkeypatch):
+    """Noisy narrow and dome fits end at a cost no higher than scipy's
+    trust-region fit from the same start and bounds, with the same errors."""
+    optimize = pytest.importorskip("scipy.optimize")
+    solver = inference.curve_fit
+    pairs = []
+
+    def both(model, jac, x, y, p0, bounds):
+        popt, pcov, nfev = solver(model, jac, x, y, p0, bounds)
+        ref, ref_cov = optimize.curve_fit(model, x, y, p0=p0, bounds=bounds, maxfev=20000)
+        cost, ref_cost = (float(np.sum((model(x, *p) - y) ** 2)) for p in (popt, ref))
+        pairs.append((cost, ref_cost, np.sqrt(np.diag(pcov)), np.sqrt(np.diag(ref_cov))))
+        return popt, pcov, nfev
+
+    monkeypatch.setattr(inference, "curve_fit", both)
+    narrow = np.arange(-40.0, 41.0)
+    dome = np.arange(-200.0, 201.0)
+    for _ in range(5):
+        fit_gaussian(narrow, noisy_gaussian(narrow, 8.0, 1.5, 3.0, 0.5, 0.3, rng))
+        fit_gaussian(narrow, noisy_gaussian(narrow, 5.0, -0.5, 2.5, 0.0, 0.3, rng),
+                     fix_offset=0.0)
+        y = shaded_gaussian(dome, 10.0, 3.0, 60.0, 0.3) + rng.normal(0, 0.3, dome.size)
+        fit_gaussian(dome, y, fix_offset=0.0, shaded=True)
+    assert len(pairs) == 15
+    for cost, ref_cost, err, ref_err in pairs:
+        assert cost <= ref_cost * (1 + 1e-9)
+        np.testing.assert_allclose(err, ref_err, rtol=1e-3)
+
+
+def test_next_fast_len_matches_scipy():
+    fft = pytest.importorskip("scipy.fft")
+    assert [next_fast_len(n) for n in range(1, 4097)] == \
+        [fft.next_fast_len(n) for n in range(1, 4097)]
+    assert next_fast_len(2 * 201 - 1) == 405
 
 
 # -- saturation-corrected fits ---------------------------------------------------

@@ -15,6 +15,7 @@ from bpcam.correlate import Mode, StackAccumulator, accumulate, subtract
 from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
 from bpcam.pipeline import analyze, simulate
+from bpcam.report import write_report
 
 TINY = dict(roi_height=41, roi_width=41, n_frames=6, n_dark_frames=20,
             n_bootstrap=0, seed=3)
@@ -244,6 +245,17 @@ def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkey
     assert reused.as_dict() == products.report.as_dict()
 
 
+def test_fit_records_carry_their_evaluation_counts(small_run, tmp_path):
+    cfg, sim, products = small_run
+    write_report(products.report, tmp_path)
+    detail = json.loads((tmp_path / "report.json").read_text())["detail"]
+    # free-offset map fits have four parameters, the fixed-offset joint fits three
+    n_params = {"sigma_pos_fit": 4, "sigma_mom_fit": 4, "cond_var_x": 3, "cond_var_p": 3}
+    assert {key for key, rec in detail.items() if "nfev" in rec} == set(n_params)
+    for key, n in n_params.items():
+        assert 1 <= detail[key]["nfev"] <= inference.MAX_NFEV_PER_PARAM * n
+
+
 def test_plane_order_does_not_change_the_stacks(tmp_path):
     cfg = RunConfig().replace(**TINY)
     simulate(cfg, tmp_path / "default")
@@ -320,7 +332,8 @@ def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
     sim = simulate(cfg, tmp_path)
     products = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
     labels = [text.split(":")[0] for text in products.report.detail["warnings"]]
-    assert labels == ["image peak snr", "farfield peak snr",
+    assert labels == ["sigma_pos fit",
+                      "image peak snr", "farfield peak snr",
                       "image blocks", "farfield blocks",
                       "image dimensionality", "farfield dimensionality"]
 

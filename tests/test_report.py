@@ -8,9 +8,12 @@ import pytest
 
 from bpcam import EprReport, Mode
 from bpcam.correlate import SubtractedMap
+from bpcam import report as report_module
+from bpcam.framestack import AtomicFile
 from bpcam.report import (
     central_cross_section,
     format_report,
+    write_cross_section_csv,
     write_cross_sections,
     write_report,
 )
@@ -120,3 +123,55 @@ def test_cross_section_csv_round_trip(tmp_path):
     centre_row = rows[1 + 4]
     assert float(centre_row[2]) == sample_map(Mode.DIFFERENCE).values[4][4]
     assert centre_row[3] == "1"
+
+
+def test_atomic_file_replaces_only_on_a_clean_close(tmp_path):
+    path = tmp_path / "run.json"
+    with AtomicFile(path) as fh:
+        fh.write("first")
+        assert not path.exists()
+    with pytest.raises(RuntimeError, match="killed"):
+        with AtomicFile(path) as fh:
+            fh.write("sec")
+            raise RuntimeError("killed part-way")
+    assert path.read_text() == "first"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_failed_report_write_keeps_the_earlier_files(tmp_path, monkeypatch):
+    write_report(make_report(), tmp_path)
+    before = {name: (tmp_path / name).read_text() for name in ("report.json", "report.txt")}
+
+    def failing(report):
+        raise RuntimeError("killed while formatting")
+
+    monkeypatch.setattr(report_module, "format_report", failing)
+    with pytest.raises(RuntimeError, match="killed"):
+        write_report(make_report(epr_violated=False), tmp_path)
+    # report.json was complete and replaced; report.txt kept its earlier text
+    assert json.loads((tmp_path / "report.json").read_text())["epr_violated"] is False
+    assert (tmp_path / "report.txt").read_text() == before["report.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.txt"]
+
+
+class _FailsAfter:
+    """A pitch whose product raises after `n` rows: a writer killed part-way."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __rmul__(self, other):
+        self.n -= 1
+        if self.n < 0:
+            raise RuntimeError("killed mid-file")
+        return other * 16.0
+
+
+def test_failed_cross_section_write_keeps_the_earlier_csv(tmp_path):
+    path = tmp_path / "image_difference_cross_section.csv"
+    write_cross_section_csv(sample_map(Mode.DIFFERENCE), path, pitch_um=16.0)
+    before = path.read_text()
+    with pytest.raises(RuntimeError, match="killed"):
+        write_cross_section_csv(sample_map(Mode.DIFFERENCE, w=7), path, pitch_um=_FailsAfter(3))
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
