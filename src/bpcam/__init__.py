@@ -7,7 +7,6 @@ from .config import RunConfig
 from .correlate import (
     CorrelationMap,
     JointDistribution,
-    MarginalStack,
     Mode,
     StackAccumulator,
     StackResult,

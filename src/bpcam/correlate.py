@@ -28,9 +28,10 @@ Two interchangeable accumulation routes are kept deliberately:
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
-same pass collects per-frame row/column marginals, from which exact joint
-distributions over pixel pairs are built for conditional-variance work,
-each collapsed at once onto the pair coordinates.
+same pass cuts the stack into the bootstrap's blocks: it holds one block's
+per-frame row/column marginals at a time, and when the block's last frame
+arrives it turns them into exact joint distributions over pixel pairs,
+collapsed at once onto the pair coordinates, for conditional-variance work.
 """
 
 from __future__ import annotations
@@ -116,35 +117,26 @@ class JointDistribution:
     n_reference_pairs: int
 
 
-@dataclass
-class MarginalStack:
-    """Per-frame 1-D photon marginals: counts[i, a] = photons of frame i in bin a."""
+def block_joint(axis: str, counts: np.ndarray) -> JointDistribution:
+    """Joint pair distribution of the frames whose marginals are the rows of `counts`.
 
-    axis: str
-    counts: np.ndarray  # (N, W) int32
-
-    @property
-    def n_frames(self) -> int:
-        return self.counts.shape[0]
-
-    def joint(self, start: int = 0, stop: int | None = None) -> JointDistribution:
-        """Joint pair distribution from frames [start, stop)."""
-        block = self.counts[start:stop]
-        if block.shape[0] < 2:
-            raise ParameterError("a joint distribution needs at least 2 frames")
-        # float64 sums of integer products are exact below 2**53; einsum keeps
-        # them off BLAS, whose thread pool would oversubscribe the cores when
-        # both planes' analyses run at once.  Each W x W product is collapsed
-        # at once, so a joint holds O(W) numbers.
-        v = block.astype(np.float64)
-        return JointDistribution(
-            axis=self.axis,
-            signal=pair_histogram(np.einsum("na,nb->ab", v, v)),
-            reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:])),
-            self_counts=block.sum(axis=0, dtype=np.int64),
-            n_frames=block.shape[0],
-            n_reference_pairs=block.shape[0] - 1,
-        )
+    `counts[i, a]` is the number of photons of frame i in bin a.  float64
+    sums of integer products are exact below 2**53; einsum keeps them off
+    BLAS, whose thread pool would oversubscribe the cores when both planes'
+    analyses run at once.  Each W x W product is collapsed at once, so a
+    joint holds O(W) numbers.
+    """
+    if counts.shape[0] < 2:
+        raise ParameterError("a joint distribution needs at least 2 frames")
+    v = counts.astype(np.float64)
+    return JointDistribution(
+        axis=axis,
+        signal=pair_histogram(np.einsum("na,nb->ab", v, v)),
+        reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:])),
+        self_counts=counts.sum(axis=0, dtype=np.int64),
+        n_frames=counts.shape[0],
+        n_reference_pairs=counts.shape[0] - 1,
+    )
 
 
 @dataclass
@@ -158,7 +150,7 @@ class StackResult:
 
     difference: CorrelationMap | None
     sum_map: CorrelationMap | None
-    marginals: dict  # {"col": MarginalStack, "row": MarginalStack}
+    blocks: dict  # {"col": [JointDistribution, ...], "row": [...]}, one per block
     ones_per_frame: np.ndarray  # (N,) int64
     roi: tuple[int, int]
 
@@ -191,7 +183,7 @@ def _pair_totals(ones: np.ndarray) -> tuple[int, int]:
 
 
 class StackAccumulator:
-    """Single-pass dual-route accumulator for both map modes plus marginals.
+    """Single-pass dual-route accumulator for both map modes plus bootstrap blocks.
 
     Feed binary frames with `add`; call `finalize` once at the end.  Frames
     with at most `sparse_threshold` photons are pair-counted directly;
@@ -202,16 +194,29 @@ class StackAccumulator:
     frame is (re)computed on demand.  `modes` restricts the work to a subset
     of pair coordinates; a stack destined for one observable need not pay
     for the other's accumulators.
+
+    `block_edges` (0 = e_0 < e_1 < ... < e_K, each block >= 2 frames) cuts
+    the stack into blocks [e_k, e_k+1): the row and column marginals of the
+    current block's frames are held until its last frame arrives, then
+    collapse into one `JointDistribution` per axis (`block_joint`).  The
+    adjacent-frame pairs that straddle an edge are in the maps but in no
+    block.  None makes the whole stack one block.
     """
 
     def __init__(self, roi: tuple[int, int], sparse_threshold: int = SPARSE_THRESHOLD,
-                 modes: tuple = (Mode.DIFFERENCE, Mode.SUM)):
+                 modes: tuple = (Mode.DIFFERENCE, Mode.SUM), block_edges=None):
         h, w = roi
         if h < 1 or w < 1:
             raise ParameterError(f"bad roi {roi!r}")
         modes = tuple(Mode(m) for m in modes)
         if not modes:
             raise ParameterError("at least one accumulation mode is required")
+        if block_edges is not None:
+            block_edges = tuple(int(e) for e in block_edges)
+            if len(block_edges) < 2 or block_edges[0] != 0 \
+                    or any(b - a < 2 for a, b in zip(block_edges, block_edges[1:])):
+                raise ParameterError(f"block edges {block_edges} must start at 0 and give "
+                                     "every block at least 2 frames")
         self.roi = (int(h), int(w))
         self.sparse_threshold = int(sparse_threshold)
         self.modes = modes
@@ -252,8 +257,11 @@ class StackAccumulator:
         # previous frame (for the adjacent reference)
         self._prev: dict | None = None
         self._ones: list[int] = []
-        self._vcols: list[np.ndarray] = []
-        self._vrows: list[np.ndarray] = []
+        # the current block's per-frame marginals, and the closed blocks' joints
+        self._block_edges = block_edges
+        self._closing = frozenset(block_edges[1:] if block_edges else ())
+        self._marginals: dict = {"col": [], "row": []}
+        self._blocks: dict = {"col": [], "row": []}
         self._finalized = False
         # precomputed index grids for window extraction from the padded inverse
         self._drows = np.arange(-(h - 1), h) % self._pad[0]
@@ -301,8 +309,10 @@ class StackAccumulator:
             bits = bits.astype(bool)
         n = int(np.count_nonzero(bits))
         self._ones.append(n)
-        self._vcols.append(bits.sum(axis=0, dtype=np.int32))
-        self._vrows.append(bits.sum(axis=1, dtype=np.int32))
+        self._marginals["col"].append(bits.sum(axis=0, dtype=np.int32))
+        self._marginals["row"].append(bits.sum(axis=1, dtype=np.int32))
+        if len(self._ones) in self._closing:
+            self._close_block()
 
         # frames take turns with the two spectrum buffers
         cur: dict = {"n": n, "bits": bits, "keys": None, "F": None,
@@ -340,6 +350,11 @@ class StackAccumulator:
                 self._tot_ref_spec += npairs
         self._prev = cur
 
+    def _close_block(self):
+        for axis, rows in self._marginals.items():
+            self._blocks[axis].append(block_joint(axis, np.vstack(rows)))
+            rows.clear()
+
     # -- finalisation --------------------------------------------------------
 
     def _invert(self, spec: np.ndarray, shift: bool, expected_total: int) -> np.ndarray:
@@ -371,8 +386,13 @@ class StackAccumulator:
         # the per-frame buffers go before the inverse transforms allocate
         self._frame = self._rows = self._spectra = self._re = self._cx = self._prev = None
         n_frames = len(self._ones)
+        if self._block_edges is not None and n_frames != self._block_edges[-1]:
+            raise ConsistencyError(
+                f"fed {n_frames} frames, but the block edges end at {self._block_edges[-1]}")
         if n_frames < 2:
             raise ParameterError(f"need at least 2 frames, got {n_frames}")
+        if self._block_edges is None:
+            self._close_block()
         ones = np.asarray(self._ones, dtype=np.int64)
         exp_sig, exp_ref = _pair_totals(ones)
         diff = summ = None
@@ -396,11 +416,7 @@ class StackAccumulator:
             if int(s_sig.sum()) != exp_sig or int(s_ref.sum()) != exp_ref:
                 raise ConsistencyError("pair-count conservation failed on the sum maps")
             summ = CorrelationMap(Mode.SUM, s_sig, s_ref, n_frames, n_frames - 1, self.roi)
-        marginals = {
-            "col": MarginalStack("col", np.vstack(self._vcols)),
-            "row": MarginalStack("row", np.vstack(self._vrows)),
-        }
-        return StackResult(diff, summ, marginals, ones, self.roi)
+        return StackResult(diff, summ, self._blocks, ones, self.roi)
 
 
 def accumulate(frames, roi: tuple[int, int] | None = None, **kwargs) -> StackResult:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .correlate import (
     JointDistribution,
-    MarginalStack,
     Mode,
     SubtractedMap,
     joint_excess_histogram,
@@ -41,6 +40,9 @@ PIXEL_VAR_PAIR = 1.0 / 6.0
 
 #: minimum peak significance on both planes before an EPR flag is credible
 SNR_GATE = 5.0
+
+#: narrow peaks are fitted within this many pixels of their highest bin
+NARROW_WINDOW_PX = 40
 
 
 def gaussian(x, amplitude, center, sigma, offset):
@@ -302,33 +304,22 @@ def deconvolved_width(fit: GaussianFit, pitch_um: float, pixel_var_px2: float) -
     return WidthEstimate(math.sqrt(var) * pitch_um, fit.sigma, pixel_var_px2, fit)
 
 
-def difference_cross_section(sub: SubtractedMap):
-    """The dr = 0 row of a difference map: (offsets_px, values, mask).
+def central_cross_section(sub: SubtractedMap):
+    """The map row that the width fits read: (offsets_px, values, mask).
 
-    Vertical charge smear displaces rows only, so this row is smear-free;
-    the self-pair bin at zero offset arrives already masked.
+    A difference map gives its dr = 0 row: vertical charge smear displaces
+    rows only, so this row is smear-free, and the self-pair bin at zero
+    offset arrives already masked.  A sum map gives row 2 (H // 2), the
+    row-sum bin of the doubled centre.
     """
-    if sub.mode is not Mode.DIFFERENCE:
-        raise ParameterError("difference_cross_section needs a DIFFERENCE map")
     h = sub.roi[0]
-    return sub.col_axis.astype(float), sub.values[h - 1], sub.mask[h - 1]
-
-
-def sum_cross_section(sub: SubtractedMap, row: int | None = None):
-    """One row of a sum map, default the row-sum bin of the doubled centre."""
-    if sub.mode is not Mode.SUM:
-        raise ParameterError("sum_cross_section needs a SUM map")
-    if row is None:
-        row = 2 * (sub.roi[0] // 2)
+    row = h - 1 if sub.mode is Mode.DIFFERENCE else 2 * (h // 2)
     return sub.col_axis.astype(float), sub.values[row], sub.mask[row]
 
 
 def fit_map_width(sub: SubtractedMap, pitch_um: float, window_px: int | None = None) -> WidthEstimate:
     """Correlation width from the central cross-section of a subtracted map."""
-    if sub.mode is Mode.DIFFERENCE:
-        x, y, m = difference_cross_section(sub)
-    else:
-        x, y, m = sum_cross_section(sub)
+    x, y, m = central_cross_section(sub)
     if window_px is not None:
         peak = x[np.argmax(np.where(m, -np.inf, y))]
         keep = np.abs(x - peak) <= window_px
@@ -337,42 +328,29 @@ def fit_map_width(sub: SubtractedMap, pitch_um: float, window_px: int | None = N
     return deconvolved_width(fit, pitch_um, PIXEL_VAR_PAIR)
 
 
-def histogram_mask(axis: np.ndarray, center: float, halfwidth: int | None) -> np.ndarray:
-    if halfwidth is None:
-        return np.zeros(axis.shape, dtype=bool)
-    return np.abs(axis - center) <= halfwidth
-
-
 def fit_joint_width(
     joint: JointDistribution,
     mode: Mode,
     pitch_um: float,
-    mask_halfwidth: int | None = None,
     window_px: int | None = None,
     shaded: bool = False,
 ) -> WidthEstimate:
     """Width of the 1-D pair-coordinate excess derived from a joint distribution.
 
-    Self-pairs are removed exactly; `mask_halfwidth` additionally excludes
-    bins around the artifact coordinate (zero offset / doubled centre) where
-    charge-smear duplicates land.  In DIFFERENCE mode the zero-offset bin is
-    always excluded, whatever `mask_halfwidth` says: a binary pixel cannot
-    fire twice in one frame, so the within-frame distinct-pair count at zero
-    column offset falls short of the cross-frame accidental estimate by the
-    summed squared pixel occupancy — a deficit comparable to (far field) or
-    larger than (image plane) the genuine peak.  The baseline is held at
-    zero: accidentals are already subtracted, so any residual offset is
-    noise, and freeing it would make fits of peaks wider than the window
-    degenerate.  `shaded` applies the binary-pixel saturation model of
-    `shaded_gaussian`; use it for broad domes, whose centres sit where the
-    light (and hence the chance a pixel is already lit) is densest.
+    Self-pairs are removed exactly.  In DIFFERENCE mode the zero-offset bin
+    is also excluded: a binary pixel cannot fire twice in one frame, so the
+    within-frame distinct-pair count at zero column offset falls short of
+    the cross-frame accidental estimate by the summed squared pixel
+    occupancy — a deficit comparable to (far field) or larger than (image
+    plane) the genuine peak.  The baseline is held at zero: accidentals are
+    already subtracted, so any residual offset is noise, and freeing it
+    would make fits of peaks wider than the window degenerate.  `shaded`
+    applies the binary-pixel saturation model of `shaded_gaussian`; use it
+    for broad domes, whose centres sit where the light (and hence the
+    chance a pixel is already lit) is densest.
     """
     axis, hist = joint_excess_histogram(joint, mode)
-    w = joint.self_counts.size
-    artifact = 0.0 if mode is Mode.DIFFERENCE else float(2 * (w // 2))
-    mask = histogram_mask(axis, artifact, mask_halfwidth)
-    if mode is Mode.DIFFERENCE:
-        mask = mask | (axis == 0)
+    mask = (axis == 0) if mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
     x = axis.astype(float)
     if window_px is not None:
         masked_vals = np.where(mask, -np.inf, hist)
@@ -410,8 +388,7 @@ def inferred_variance(
     *,
     pitch_um: float,
     scale: float,
-    mask_halfwidth: int | None = None,
-    window_px: int | None = 40,
+    window_px: int | None = NARROW_WINDOW_PX,
 ) -> InferredVariance:
     """Minimum inferred variance along one axis from the pair-coordinate fit.
 
@@ -419,8 +396,7 @@ def inferred_variance(
     um^2) and mode=SUM with scale = k/f on a far field (momentum variance in
     units of hbar^2/um^2).
     """
-    width = fit_joint_width(joint, mode, pitch_um,
-                            mask_halfwidth=mask_halfwidth, window_px=window_px)
+    width = fit_joint_width(joint, mode, pitch_um, window_px=window_px)
     det_var = width.sigma_um ** 2
     return InferredVariance(
         variance=det_var * scale ** 2,
@@ -460,8 +436,6 @@ def axis_dimensionality(
     pitch_um: float,
     extent_px: float,
     narrow: Mode,
-    mask_halfwidth: int | None = None,
-    narrow_window_px: int = 40,
     narrow_fit: WidthEstimate | None = None,
 ) -> AxisDimensionality:
     """Mode count along one axis: coverage * (broad width / narrow width).
@@ -469,12 +443,12 @@ def axis_dimensionality(
     Both widths come from the same joint distribution, one per pair
     coordinate.  `narrow` names the coordinate expected to carry the tight
     peak (DIFFERENCE for correlated positions, SUM for anti-correlated
-    momenta); it is fitted in a window around its peak, because a few-pixel
-    spike on a few-hundred-bin domain leaves moment-based starting values at
-    the mercy of the subtraction noise.  The broad dome is fitted with the
-    saturation-corrected model (`shaded_gaussian`): its centre coincides
-    with the occupancy maximum, so a plain Gaussian reads the flattened top
-    as extra width.  The narrow peak needs no such correction — occupancy
+    momenta); it is fitted within NARROW_WINDOW_PX of its peak, because a
+    few-pixel spike on a few-hundred-bin domain leaves moment-based starting
+    values at the mercy of the subtraction noise.  The broad dome is fitted
+    with the saturation-corrected model (`shaded_gaussian`): its centre
+    coincides with the occupancy maximum, so a plain Gaussian reads the
+    flattened top as extra width.  The narrow peak needs no such correction — occupancy
     is constant across a few-pixel window and only rescales the amplitude.
     The marginal single-photon width follows from the exact decomposition
     Var(x1) = (Var(x1+x2) + Var(x1-x2)) / 4, and the coverage factor
@@ -484,10 +458,8 @@ def axis_dimensionality(
     the same arguments, so it is not repeated.
     """
     broad_mode = Mode.SUM if narrow is Mode.DIFFERENCE else Mode.DIFFERENCE
-    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um, mask_halfwidth=mask_halfwidth,
-                                       window_px=narrow_window_px)
-    wb = fit_joint_width(joint, broad_mode, pitch_um, mask_halfwidth=mask_halfwidth,
-                         window_px=None, shaded=True)
+    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um, window_px=NARROW_WINDOW_PX)
+    wb = fit_joint_width(joint, broad_mode, pitch_um, window_px=None, shaded=True)
     # widths as detected (no binning deconvolution): the mode count describes
     # what the camera jointly resolves, and pixelation is part of that.
     narrow_um = wn.sigma_px * pitch_um
@@ -516,7 +488,6 @@ def dimensionality(
     pitch_um: float,
     extent_px,
     narrow: Mode,
-    mask_halfwidth: int | None = None,
     substitute: dict | None = None,
     narrow_fits: dict | None = None,
 ) -> DimensionalityEstimate:
@@ -538,7 +509,7 @@ def dimensionality(
         extent = extent_px[axis] if isinstance(extent_px, dict) else extent_px
         axes[axis] = axis_dimensionality(
             joint, pitch_um=pitch_um, extent_px=extent, narrow=narrow,
-            mask_halfwidth=mask_halfwidth, narrow_fit=narrow_fits.get(axis),
+            narrow_fit=narrow_fits.get(axis),
         )
     for axis, source in substitute.items():
         if source not in axes:
@@ -572,29 +543,21 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
     )
 
 
-def make_blocks(marginals: dict, n_blocks: int) -> dict:
-    """Cut marginal stacks into contiguous blocks of joint distributions.
+def make_blocks(n_frames: int, n_blocks: int) -> np.ndarray:
+    """Edges 0 = e_0 < ... < e_n_blocks = n_frames of contiguous bootstrap blocks.
 
-    Returns {axis: [JointDistribution, ...]}.  Pooling all blocks of an axis
-    with `combine_joints` reproduces the full-stack joint up to the
-    n_blocks - 1 adjacent-frame reference pairs that straddle block
-    boundaries (the normalisation accounts for the dropped pairs).  A stack
-    with fewer than two frames per block raises AnalysisError.
+    `StackAccumulator(block_edges=...)` cuts its joints on them.  Pooling
+    the blocks of an axis with `combine_joints` reproduces the full-stack
+    joint up to the n_blocks - 1 adjacent-frame reference pairs that
+    straddle block edges (the normalisation accounts for the dropped
+    pairs).  A stack with fewer than two frames per block raises
+    AnalysisError.
     """
     if n_blocks < 1:
         raise ParameterError(f"need at least 1 block, got {n_blocks}")
-    n_frames = {ax: ms.n_frames for ax, ms in marginals.items()}
-    nset = set(n_frames.values())
-    if len(nset) != 1:
-        raise ParameterError(f"marginal stacks disagree on frame count: {n_frames}")
-    n = nset.pop()
-    if n < 2 * n_blocks:
-        raise AnalysisError(f"{n} frames is too few for {n_blocks} blocks of >= 2")
-    edges = np.linspace(0, n, n_blocks + 1).astype(int)
-    return {
-        ax: [ms.joint(edges[i], edges[i + 1]) for i in range(n_blocks)]
-        for ax, ms in marginals.items()
-    }
+    if n_frames < 2 * n_blocks:
+        raise AnalysisError(f"{n_frames} frames is too few for {n_blocks} blocks of >= 2")
+    return np.linspace(0, n_frames, n_blocks + 1).astype(int)
 
 
 @dataclass
@@ -615,7 +578,9 @@ def block_bootstrap(
 ) -> BootstrapResult:
     """Standard errors of joint-derived statistics by block resampling.
 
-    `blocks` comes from `make_blocks`, with at least 10 blocks per axis.
+    `blocks` maps each axis to its list of block joints, at least 10, as
+    `StackResult.blocks` holds them for an accumulator given `make_blocks`'
+    edges.
     Each resample draws blocks with replacement, pools their joint
     distributions and evaluates `statistic(joints) -> dict[str, float]`;
     resamples where the statistic raises AnalysisError/FitFailureError are

@@ -27,7 +27,6 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +52,12 @@ from .framestack import (
     StackWriter,
 )
 from .inference import (
+    NARROW_WINDOW_PX,
     EprReport,
-    axis_dimensionality,
     block_bootstrap,
     combine_joints,
     dimensionality,
     epr_product,
-    fit_joint_width,
     fit_map_width,
     inferred_variance,
     make_blocks,
@@ -279,25 +277,6 @@ class _PlaneAnalysis:
     warnings: dict  # {step: text} for the steps that failed
 
 
-def _plane_statistic(plane: Plane, pitch_um: float, scale: float, roi: tuple, smeared: bool,
-                     joints: dict) -> dict:
-    """A plane's bootstrap statistic: its column-joint width, the inferred
-    variance that width gives and its mode count, from pooled joints."""
-    mode = _PLANE_MODE[plane]
-    coord, _, var_key = _PLANE_NAMES[plane]
-    h, w = roi
-    width = fit_joint_width(joints["col"], mode, pitch_um, window_px=40)
-    out = {f"sigma_{coord}_um": width.sigma_um, var_key: width.sigma_um ** 2 * scale ** 2}
-    ax_col = axis_dimensionality(joints["col"], pitch_um=pitch_um, extent_px=w, narrow=mode,
-                                 narrow_fit=width)
-    if smeared:  # the row axis reuses the column axis
-        out[f"d_{coord}"] = ax_col.d_axis ** 2
-    else:
-        ax_row = axis_dimensionality(joints["row"], pitch_um=pitch_um, extent_px=h, narrow=mode)
-        out[f"d_{coord}"] = ax_col.d_axis * ax_row.d_axis
-    return out
-
-
 def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
                    mask_artifacts: bool) -> _PlaneAnalysis:
     """Accumulate one plane's stack, fit its figures and bootstrap their errors.
@@ -309,7 +288,7 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
     other plane has blocks too.
     """
     mode = _PLANE_MODE[plane]
-    coord, var, _ = _PLANE_NAMES[plane]
+    coord, var, var_key = _PLANE_NAMES[plane]
     name = plane.value
     pitch = config.pixel_pitch
     h, w = config.roi
@@ -329,48 +308,61 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
             warnings[step] = f"{label}: {exc}"
             return None
 
-    acc = StackAccumulator(config.roi, sparse_threshold=config.sparse_threshold, modes=(mode,))
-    for bits in StackReader(path):
+    # the pass cuts the joints per transverse axis into the bootstrap blocks;
+    # a stack too short for them is one block
+    reader = StackReader(path)
+    edges = _try("blocks", f"{name} blocks", lambda: make_blocks(len(reader), config.n_blocks))
+    acc = StackAccumulator(config.roi, sparse_threshold=config.sparse_threshold, modes=(mode,),
+                           block_edges=edges)
+    for bits in reader:
         acc.add(bits)
     res = acc.finalize()
     sub = subtract(res.difference if mode is Mode.DIFFERENCE else res.sum_map,
                    mask_center=mask_artifacts, mask_smear_rows=mask_artifacts and smeared)
 
-    width = _try("map fit", f"sigma_{coord} fit", lambda: fit_map_width(sub, pitch, window_px=40))
+    width = _try("map fit", f"sigma_{coord} fit",
+                 lambda: fit_map_width(sub, pitch, window_px=NARROW_WINDOW_PX))
     if width:
         records["map fit"] = (f"sigma_{coord}_fit",
                               {"sigma_px": width.sigma_px, **width.fit.as_dict()})
     snr = _try("peak snr", f"{name} peak snr", lambda: peak_snr(sub))
     if snr:
         records["peak snr"] = (f"snr_{coord}", asdict(snr))
-    # joint distributions per transverse axis, built once from the bootstrap
-    # blocks (pooling drops only the n_blocks - 1 boundary reference pairs)
-    blocks = _try("blocks", f"{name} blocks", lambda: make_blocks(res.marginals, config.n_blocks))
-    if blocks is not None:
-        joints = {ax: combine_joints(blk) for ax, blk in blocks.items()}
-    else:
-        joints = {ax: ms.joint() for ax, ms in res.marginals.items()}
+    # the pooled blocks drop only the n_blocks - 1 boundary reference pairs
+    joints = {ax: combine_joints(blk) for ax, blk in res.blocks.items()}
     scale = config.optics(plane).detector_to_source_scale(config.source())
-    cond_var = _try("inferred variance", f"inferred variance {var}", lambda: inferred_variance(
-        joints["col"], mode, pitch_um=pitch, scale=scale))
+
+    # the point figures and every bootstrap resample come from these two estimators
+    def fit_variance(joints):
+        return inferred_variance(joints["col"], mode, pitch_um=pitch, scale=scale)
+
+    def fit_dimensionality(joints, cond_var):
+        # the column's narrow fit is the inferred variance's, made with the same arguments
+        return dimensionality(joints, pitch_um=pitch, extent_px={"col": w, "row": h},
+                              narrow=mode, substitute={"row": "col"} if smeared else None,
+                              narrow_fits={"col": cond_var.width} if cond_var else None)
+
+    def statistic(joints):
+        cond_var = fit_variance(joints)
+        return {f"sigma_{coord}_um": cond_var.width.sigma_um, var_key: cond_var.variance,
+                f"d_{coord}": fit_dimensionality(joints, cond_var).d_total}
+
+    cond_var = _try("inferred variance", f"inferred variance {var}",
+                    lambda: fit_variance(joints))
     if cond_var:
         records["inferred variance"] = (f"cond_var_{var}", {
             "variance_det_um2": cond_var.variance_det_um2,
             "sigma_px": cond_var.width.sigma_px,
             **cond_var.width.fit.as_dict(),
         })
-    # the column's narrow fit is the inferred variance's, made with the same arguments
-    dims = _try("dimensionality", f"{name} dimensionality", lambda: dimensionality(
-        joints, pitch_um=pitch, extent_px={"col": w, "row": h}, narrow=mode,
-        substitute={"row": "col"} if smeared else None,
-        narrow_fits={"col": cond_var.width} if cond_var else None))
+    dims = _try("dimensionality", f"{name} dimensionality",
+                lambda: fit_dimensionality(joints, cond_var))
     if dims:
         records["dimensionality"] = (f"dimensionality_{name}",
                                      {ax: asdict(est) for ax, est in dims.axes.items()})
     errors = {}
-    if n_boot > 0 and blocks is not None:
-        statistic = partial(_plane_statistic, plane, pitch, scale, (h, w), smeared)
-        resampled = block_bootstrap(blocks, statistic, n_boot=n_boot, seed=config.seed + 1)
+    if n_boot > 0 and edges is not None:
+        resampled = block_bootstrap(res.blocks, statistic, n_boot=n_boot, seed=config.seed + 1)
         errors = resampled.errors
         records["bootstrap"] = (f"bootstrap_{name}", {"resamples_ok": resampled.n_ok,
                                                       "resamples_failed": resampled.n_failed})
@@ -379,7 +371,7 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
                           width.sigma_um if width else nan, snr.value if snr else nan,
                           cond_var.variance if cond_var else float("inf"),
                           dims.d_total if dims else nan,
-                          blocks is not None, errors, records, warnings)
+                          edges is not None, errors, records, warnings)
 
 
 def _open_checked(path, expected_plane: str, config: RunConfig) -> StackReader:

@@ -8,8 +8,9 @@ import math
 import os
 from pathlib import Path
 
-from .correlate import Mode, SubtractedMap
+from .correlate import SubtractedMap
 from .framestack import AtomicFile
+from .inference import central_cross_section
 
 
 def _fmt(value, unc=None) -> str:
@@ -94,15 +95,8 @@ def write_report(report, out_dir) -> dict:
     return {"json": str(json_path), "txt": str(txt_path)}
 
 
-def central_cross_section(sub: SubtractedMap):
-    """(coordinate_px, value, masked) triples along the fitted cross-section."""
-    h = sub.roi[0]
-    row = h - 1 if sub.mode is Mode.DIFFERENCE else 2 * (h // 2)
-    return sub.col_axis, sub.values[row], sub.mask[row]
-
-
 def write_cross_section_csv(sub: SubtractedMap, path, pitch_um: float) -> str:
-    """One map's central cross-section as CSV.
+    """One map's central cross-section, the row its width fit reads, as CSV.
 
     The header row is always written; an empty map yields a header-only file.
     """

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bpcam import Mode, StackAccumulator, accumulate, peak_snr, subtract
 from bpcam.correlate import (
-    MarginalStack,
+    block_joint,
     default_mask,
     joint_excess_histogram,
     pair_axis,
@@ -244,23 +244,55 @@ def test_axes_and_marginals(rng):
     assert res.difference.col_axis.tolist() == list(range(-7, 8))
     assert res.sum_map.row_axis.tolist() == list(range(0, 9))
     assert res.sum_map.col_axis.tolist() == list(range(0, 15))
-    cols = res.marginals["col"].counts
-    rows = res.marginals["row"].counts
-    np.testing.assert_array_equal(cols, np.array([f.sum(axis=0) for f in frames]))
-    np.testing.assert_array_equal(rows, np.array([f.sum(axis=1) for f in frames]))
+    # without block edges the whole stack is one block per axis
+    assert [len(b) for b in res.blocks.values()] == [1, 1]
+    for axis, sum_over in (("col", 0), ("row", 1)):
+        counts = np.array([f.sum(axis=sum_over) for f in frames])
+        assert_joint_equals_brute_force(res.blocks[axis][0], counts)
 
 
 def test_joint_distribution_matches_marginal_products(rng):
     frames = random_stack(rng, 6, 7, 5, 0.4)
-    res = run_accumulator(frames)
-    ms = res.marginals["col"]
-    assert_joint_equals_brute_force(ms.joint(), ms.counts)
-    block = ms.joint(1, 4)
-    assert_joint_equals_brute_force(block, ms.counts[1:4])
-    assert block.n_frames == 3
+    res = run_accumulator(frames, block_edges=(0, 2, 5))
+    cols = np.array([f.sum(axis=0) for f in frames])
+    rows = np.array([f.sum(axis=1) for f in frames])
+    for axis, counts in (("col", cols), ("row", rows)):
+        first, second = res.blocks[axis]
+        assert first.axis == second.axis == axis
+        assert_joint_equals_brute_force(first, counts[:2])
+        assert_joint_equals_brute_force(second, counts[2:])
+    assert res.blocks["col"][1].n_frames == 3
 
     with pytest.raises(ParameterError):
-        ms.joint(2, 3)  # single frame
+        block_joint("col", cols[2:3])  # single frame
+    for edges in ((0, 1, 5), (1, 5), (0, 3, 2), (0,)):
+        with pytest.raises(ParameterError, match="block edges"):
+            StackAccumulator((6, 7), block_edges=edges)
+
+
+def test_block_edges_must_match_the_frames_fed(rng):
+    frames = random_stack(rng, 4, 5, 6, 0.4)
+    for n_fed in (5, 7):
+        acc = StackAccumulator((4, 5), block_edges=(0, 3, 6))
+        for f in (frames + frames)[:n_fed]:
+            acc.add(f)
+        with pytest.raises(ConsistencyError, match="block edges end at 6"):
+            acc.finalize()
+
+
+def test_accumulator_holds_at_most_one_block_of_marginals(rng):
+    frames = random_stack(rng, 5, 6, 23, 0.3)
+    edges = make_blocks(len(frames), 4)
+    longest = int(np.diff(edges).max())
+    acc = StackAccumulator((5, 6), block_edges=edges)
+    held = []
+    for f in frames:
+        acc.add(f)
+        held.append({len(rows) for rows in acc._marginals.values()}.pop())
+    assert max(held) < longest  # a block's last frame closes it at once
+    assert held[-1] == 0
+    res = acc.finalize()
+    assert [blk.n_frames for blk in res.blocks["col"]] == np.diff(edges).tolist()
 
 
 def test_accumulator_guards(rng):
@@ -290,12 +322,10 @@ def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
     n, w = 53, 7
     counts = rng.integers(0, 2**20 + 1, size=(n, w)).astype(np.int32)
     counts[:2] = 2**20
-    ms = MarginalStack("col", counts)
-    blocks = make_blocks({"col": ms, "row": MarginalStack("row", counts)}, 10)["col"]
-    assert len({blk.n_frames for blk in blocks}) == 2
-    edges = np.cumsum([0] + [blk.n_frames for blk in blocks])
-    for lo, hi, blk in [(0, n, ms.joint()), *zip(edges[:-1], edges[1:], blocks)]:
-        assert_joint_equals_brute_force(blk, counts[lo:hi])
+    edges = make_blocks(n, 10)
+    assert len(set(np.diff(edges))) == 2
+    for lo, hi in [(0, n), *zip(edges[:-1], edges[1:])]:
+        assert_joint_equals_brute_force(block_joint("col", counts[lo:hi]), counts[lo:hi])
 
 
 def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
@@ -303,8 +333,9 @@ def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
     # W x W matrices: 4 (2W - 1) pair counts and W self-pair totals
     w = 201
     counts = rng.poisson(8.0, size=(40, w)).astype(np.int32)
-    blocks = make_blocks({"col": MarginalStack("col", counts)}, 10)["col"]
-    for blk in blocks:
+    edges = make_blocks(len(counts), 10)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        blk = block_joint("col", counts[lo:hi])
         arrays = [*blk.signal.values(), *blk.reference.values(), blk.self_counts]
         assert all(a.ndim == 1 for a in arrays)
         assert sum(a.size for a in arrays) == 4 * (2 * w - 1) + w
@@ -382,7 +413,7 @@ def test_joint_excess_removes_self_pairs(rng):
     counts = np.zeros((n, w), dtype=np.int32)
     cols = rng.integers(0, w, size=n)
     counts[np.arange(n), cols] = 1
-    joint = MarginalStack("col", counts).joint()
+    joint = block_joint("col", counts)
     axis, kept = joint_excess_histogram(joint, Mode.DIFFERENCE,
                                         remove_self_pairs=False)
     _, removed = joint_excess_histogram(joint, Mode.DIFFERENCE)

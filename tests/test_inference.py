@@ -21,7 +21,13 @@ from bpcam import (
     make_blocks,
     shaded_gaussian,
 )
-from bpcam.correlate import JointDistribution, MarginalStack, SubtractedMap, pair_histogram
+from bpcam.correlate import (
+    JointDistribution,
+    StackAccumulator,
+    SubtractedMap,
+    block_joint,
+    pair_histogram,
+)
 from bpcam.errors import AnalysisError, FitFailureError, ParameterError
 from bpcam import inference
 from bpcam.correlate import next_fast_len
@@ -350,56 +356,64 @@ def test_fit_map_width_reads_the_central_cross_section(mode):
 
 # -- blocks and bootstrap --------------------------------------------------------
 
-def poisson_marginals(n_frames=40, w=15, lam=3.0, seed=5):
-    rng = np.random.default_rng(seed)
-    return MarginalStack("col", rng.poisson(lam, size=(n_frames, w)).astype(np.int32))
+def poisson_blocks(n_frames=40, n_blocks=10, w=15, lam=3.0, seed=5):
+    """{"col": block joints} of Poisson marginals, cut on `make_blocks`' edges."""
+    counts = np.random.default_rng(seed).poisson(lam, size=(n_frames, w)).astype(np.int32)
+    edges = make_blocks(n_frames, n_blocks)
+    return {"col": [block_joint("col", counts[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]}
 
 
 def test_blocks_pool_back_to_the_full_joint():
-    ms = poisson_marginals()
-    full = ms.joint()
-    blocks = make_blocks({"col": ms}, 10)
-    assert len(blocks["col"]) == 10
-    pooled = combine_joints(blocks["col"])
+    frames = np.random.default_rng(5).random((40, 6, 15)) < 0.3
+    edges = make_blocks(len(frames), 10)
+
+    def blocks(**kwargs):
+        acc = StackAccumulator(frames.shape[1:], **kwargs)
+        for f in frames:
+            acc.add(f)
+        return acc.finalize().blocks
+
+    (full,) = blocks()["col"]
+    cut = blocks(block_edges=edges)["col"]
+    assert len(cut) == 10
+    pooled = combine_joints(cut)
     for mode in Mode:
         np.testing.assert_array_equal(pooled.signal[mode], full.signal[mode])
     np.testing.assert_array_equal(pooled.self_counts, full.self_counts)
     assert pooled.n_frames == full.n_frames
     # pooling loses exactly the adjacent-frame pairs straddling block edges
     assert pooled.n_reference_pairs == full.n_reference_pairs - 9
-    edges = np.linspace(0, ms.n_frames, 11).astype(int)
-    totals = ms.counts.sum(axis=1).astype(np.int64)
+    totals = frames.sum(axis=(1, 2)).astype(np.int64)
     straddle = sum(int(totals[e - 1] * totals[e]) for e in edges[1:-1])
+    assert straddle > 0
     for mode in Mode:
         assert int(full.reference[mode].sum() - pooled.reference[mode].sum()) == straddle
 
 
 def test_make_blocks_validation():
-    ms = poisson_marginals(n_frames=40)
     with pytest.raises(ParameterError, match="at least 1 block"):
-        make_blocks({"col": ms}, 0)
+        make_blocks(40, 0)
+    assert make_blocks(40, 3).tolist() == [0, 13, 26, 40]
     # a bootstrap needs 10 blocks; pooling needs only one
     with pytest.raises(ParameterError, match="at least 10"):
-        block_bootstrap(make_blocks({"col": ms}, 2), lambda joints: {}, n_boot=5)
-    assert combine_joints(make_blocks({"col": ms}, 2)["col"]).n_frames == 40
+        block_bootstrap(poisson_blocks(n_blocks=2), lambda joints: {}, n_boot=5)
+    assert combine_joints(poisson_blocks(n_blocks=2)["col"]).n_frames == 40
     # a stack too short for its blocks is a failed estimate, not a caller mistake
     with pytest.raises(AnalysisError, match="too few"):
-        make_blocks({"col": poisson_marginals(n_frames=12)}, 10)
-    with pytest.raises(ParameterError, match="disagree"):
-        make_blocks({"col": ms, "row": poisson_marginals(n_frames=30)}, 10)
+        make_blocks(12, 10)
     with pytest.raises(ParameterError, match="no joint blocks"):
         combine_joints([])
 
 
 def test_block_bootstrap_constant_statistic_has_zero_error():
-    blocks = make_blocks({"col": poisson_marginals()}, 10)
+    blocks = poisson_blocks()
     out = block_bootstrap(blocks, lambda joints: {"c": 1.0}, n_boot=20, seed=1)
     assert out.errors["c"] == 0.0
     assert (out.n_ok, out.n_failed) == (20, 0)
 
 
 def test_block_bootstrap_reproducible_and_positive():
-    blocks = make_blocks({"col": poisson_marginals()}, 10)
+    blocks = poisson_blocks()
 
     def stat(joints):
         return {"total": float(joints["col"].signal[Mode.DIFFERENCE].sum())}
@@ -412,7 +426,7 @@ def test_block_bootstrap_reproducible_and_positive():
 
 
 def test_block_bootstrap_skips_failing_resamples():
-    blocks = make_blocks({"col": poisson_marginals()}, 10)
+    blocks = poisson_blocks()
     calls = {"n": 0}
 
     def flaky(joints):
@@ -428,7 +442,7 @@ def test_block_bootstrap_skips_failing_resamples():
 
 
 def test_block_bootstrap_rejects_mismatched_axes():
-    blocks = make_blocks({"col": poisson_marginals()}, 10)
+    blocks = poisson_blocks()
     lopsided = {"col": blocks["col"], "row": blocks["col"][:5]}
     with pytest.raises(ParameterError, match="disagree"):
         block_bootstrap(lopsided, lambda j: {}, n_boot=5)

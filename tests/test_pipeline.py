@@ -1,5 +1,6 @@
 """End-to-end simulate/analyze wiring on a reduced but honest acquisition."""
 
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -181,7 +182,8 @@ def test_analyze_forks_one_worker_and_reaps_it(small_run, monkeypatch):
     redone = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
     assert started == [1]
     assert multiprocessing.active_children() == []
-    assert redone.report.as_dict() == products.report.as_dict()
+    # exact, and NaN-safe: a NaN figure must sit in the same place in both
+    assert redone.report.to_json() == products.report.to_json()
 
 
 def test_analyze_worker_failure_is_raised_and_reaped(small_run, monkeypatch):
@@ -254,6 +256,30 @@ def test_fit_records_carry_their_evaluation_counts(small_run, tmp_path):
     assert {key for key, rec in detail.items() if "nfev" in rec} == set(n_params)
     for key, n in n_params.items():
         assert 1 <= detail[key]["nfev"] <= inference.MAX_NFEV_PER_PARAM * n
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    """perfbench/tracing.py swaps wrappers in for names that `pipeline`,
+    `correlate` and `inference` must keep; a traced run gives the same report."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bpcam_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # enough frames for the bootstrap's 10 blocks, so every wrapped step runs
+    cfg = RunConfig().replace(**{**TINY, "n_frames": 20, "n_blocks": 10, "n_bootstrap": 2})
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sim = simulate(cfg, tmp_path / "traced")
+        traced = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    assert tracer.calls["correlate.add"] > 0
+    assert tracer.calls["inference.make_blocks"] > 0
+    assert multiprocessing.active_children() == []
+    plain = simulate(cfg, tmp_path / "plain")
+    for name in ("dark.bpcm", "image.bpcm", "farfield.bpcm"):
+        assert (tmp_path / "traced" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+    untraced = analyze(plain.stack_paths["image"], plain.stack_paths["farfield"], cfg)
+    assert traced.report.to_json() == untraced.report.to_json()
 
 
 def test_plane_order_does_not_change_the_stacks(tmp_path):

@@ -10,8 +10,8 @@ from bpcam import EprReport, Mode
 from bpcam.correlate import SubtractedMap
 from bpcam import report as report_module
 from bpcam.framestack import AtomicFile
+from bpcam.inference import central_cross_section
 from bpcam.report import (
-    central_cross_section,
     format_report,
     write_cross_section_csv,
     write_cross_sections,
@@ -95,6 +95,7 @@ def test_central_cross_section_row_choice():
     h = 5
     diff = sample_map(Mode.DIFFERENCE, h=h)
     axis, values, mask = central_cross_section(diff)
+    np.testing.assert_array_equal(axis, diff.col_axis)
     np.testing.assert_array_equal(values, diff.values[h - 1])
     assert mask[h - 1]  # the masked centre bin travels with the row
     summ = sample_map(Mode.SUM, h=h)
