@@ -11,7 +11,6 @@ from .correlate import (
     StackAccumulator,
     StackResult,
     SubtractedMap,
-    accumulate,
     joint_excess_histogram,
     pair_histogram,
     peak_snr,
@@ -22,7 +21,6 @@ from .emccd import (
     CameraParams,
     calibrate,
     calibrate_flux_equivalence,
-    dark_frame,
     expose,
     threshold,
 )

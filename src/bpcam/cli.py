@@ -42,6 +42,7 @@ def _load_config(args) -> RunConfig:
         ("dark_frames", "n_dark_frames"),
         ("threshold_k", "threshold_k"),
         ("bootstrap", "n_bootstrap"),
+        ("snr_gate", "snr_gate"),
     ):
         value = getattr(args, attr, None)
         if value is not None:
@@ -98,13 +99,7 @@ def _stack_paths(args) -> tuple[str, str]:
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args)
     image, farfield = _stack_paths(args)
-    products = analyze(
-        image, farfield, cfg,
-        check_digest=not args.ignore_digest,
-        n_bootstrap=args.bootstrap,
-        snr_gate=args.snr_gate,
-        mask_artifacts=not args.keep_artifact_bins,
-    )
+    products = analyze(image, farfield, cfg, check_digest=not args.ignore_digest)
     out_dir = args.out_dir or args.run_dir or str(Path(image).parent)
     paths = write_report(products.report, out_dir)
     csvs = write_cross_sections(products.maps, out_dir, cfg.pixel_pitch)
@@ -183,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum peak SNR before an EPR flag is credible")
     p.add_argument("--ignore-digest", action="store_true",
                    help="analyse stacks whose config digest does not match")
-    p.add_argument("--keep-artifact-bins", action="store_true",
-                   help="do not mask the self-pair / charge-smear bins")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("report", help="re-render a saved report or describe a stack file")

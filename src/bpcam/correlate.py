@@ -9,7 +9,9 @@ ordered photon pairs within a frame (self-pairs included):
 plus matching accidental references built from photons in *adjacent* frames
 (frame i paired with frame i+1, one direction).  Genuine pair correlations
 survive the per-frame-normalised subtraction signal/N - reference/(N-1);
-uncorrelated structure (hot pixels, vignetting, noise counts) cancels.
+uncorrelated structure (hot pixels, vignetting, noise counts) cancels.  One
+accumulator builds one of the two maps: positions correlate in the
+difference map, momenta anti-correlate in the sum map.
 
 Two interchangeable accumulation routes are kept deliberately:
 
@@ -18,13 +20,13 @@ Two interchangeable accumulation routes are kept deliberately:
     k' - k + (H-1)(2W-1) + (W-1); one outer add or subtract over the key
     vectors enumerates every pair, and bincount histograms them - exact
     integer counting, fast for dilute frames;
-  * spectral: zero-padded FFTs, accumulating sum |F|^2, sum F^2 and the
-    adjacent-frame cross products in the frequency domain with a single
-    inverse transform at the end - O(HW log HW) per frame regardless of
-    occupancy.  Each axis is padded to the next 11-smooth length
-    (`next_fast_len`).  The forward transforms and the products write into
-    buffers allocated once per accumulator, through the `out=` argument that
-    numpy.fft has had since numpy 2.0.
+  * spectral: zero-padded FFTs, accumulating sum |F|^2 (difference) or
+    sum F^2 (sum) and the adjacent-frame cross products in the frequency
+    domain with one inverse transform each at the end - O(HW log HW) per
+    frame regardless of occupancy.  Each axis is padded to the next
+    11-smooth length (`next_fast_len`).  The forward transforms and the
+    products write into buffers allocated once per accumulator, through the
+    `out=` argument that numpy.fft has had since numpy 2.0.
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
@@ -141,18 +143,11 @@ def block_joint(axis: str, counts: np.ndarray) -> JointDistribution:
 
 @dataclass
 class StackResult:
-    """Everything one pass over a frame stack produces.
+    """Everything one pass over a frame stack produces."""
 
-    Either map may be None when the accumulator was asked for a subset of
-    modes (an image-plane stack only ever needs position differences, a
-    far-field stack only momentum sums).
-    """
-
-    difference: CorrelationMap | None
-    sum_map: CorrelationMap | None
+    map: CorrelationMap
     blocks: dict  # {"col": [JointDistribution, ...], "row": [...]}, one per block
     ones_per_frame: np.ndarray  # (N,) int64
-    roi: tuple[int, int]
 
     @property
     def n_frames(self) -> int:
@@ -183,34 +178,31 @@ def _pair_totals(ones: np.ndarray) -> tuple[int, int]:
 
 
 class StackAccumulator:
-    """Single-pass dual-route accumulator for both map modes plus bootstrap blocks.
+    """Single-pass dual-route accumulator for one pair coordinate plus bootstrap blocks.
 
-    Feed binary frames with `add`; call `finalize` once at the end.  Frames
-    with at most `sparse_threshold` photons are pair-counted directly;
-    denser frames go through zero-padded FFTs whose products are accumulated
-    in the frequency domain (one inverse transform per mode at the end).
+    Feed binary frames with `add`; call `finalize` once at the end.  `mode`
+    picks the map: an image-plane stack needs only position differences, a
+    far-field stack only momentum sums.  Frames with at most
+    `sparse_threshold` photons are pair-counted directly; denser frames go
+    through zero-padded FFTs whose products are accumulated in the frequency
+    domain (one inverse transform each for signal and reference at the end).
     Adjacent-frame references take the sparse route only when both frames of
     the pair are sparse enough; otherwise the transform of the previous
-    frame is (re)computed on demand.  `modes` restricts the work to a subset
-    of pair coordinates; a stack destined for one observable need not pay
-    for the other's accumulators.
+    frame is (re)computed on demand.
 
     `block_edges` (0 = e_0 < e_1 < ... < e_K, each block >= 2 frames) cuts
     the stack into blocks [e_k, e_k+1): the row and column marginals of the
     current block's frames are held until its last frame arrives, then
     collapse into one `JointDistribution` per axis (`block_joint`).  The
-    adjacent-frame pairs that straddle an edge are in the maps but in no
+    adjacent-frame pairs that straddle an edge are in the map but in no
     block.  None makes the whole stack one block.
     """
 
-    def __init__(self, roi: tuple[int, int], sparse_threshold: int = SPARSE_THRESHOLD,
-                 modes: tuple = (Mode.DIFFERENCE, Mode.SUM), block_edges=None):
+    def __init__(self, roi: tuple[int, int], mode: Mode,
+                 sparse_threshold: int = SPARSE_THRESHOLD, block_edges=None):
         h, w = roi
         if h < 1 or w < 1:
             raise ParameterError(f"bad roi {roi!r}")
-        modes = tuple(Mode(m) for m in modes)
-        if not modes:
-            raise ParameterError("at least one accumulation mode is required")
         if block_edges is not None:
             block_edges = tuple(int(e) for e in block_edges)
             if len(block_edges) < 2 or block_edges[0] != 0 \
@@ -218,27 +210,23 @@ class StackAccumulator:
                 raise ParameterError(f"block edges {block_edges} must start at 0 and give "
                                      "every block at least 2 frames")
         self.roi = (int(h), int(w))
+        self.mode = Mode(mode)
         self.sparse_threshold = int(sparse_threshold)
-        self.modes = modes
-        self._want_d = Mode.DIFFERENCE in modes
-        self._want_s = Mode.SUM in modes
         self._map_shape = (2 * h - 1, 2 * w - 1)
         self._flat_size = self._map_shape[0] * self._map_shape[1]
         # flat difference bin of a pair with zero offset
         self._centre = (h - 1) * self._map_shape[1] + (w - 1)
         # sparse integer accumulators (flat)
-        self._d_sig = np.zeros(self._flat_size, dtype=np.int64) if self._want_d else None
-        self._d_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_d else None
-        self._s_sig = np.zeros(self._flat_size, dtype=np.int64) if self._want_s else None
-        self._s_ref = np.zeros(self._flat_size, dtype=np.int64) if self._want_s else None
+        self._sig = np.zeros(self._flat_size, dtype=np.int64)
+        self._ref = np.zeros(self._flat_size, dtype=np.int64)
         # spectral accumulators, held transposed (column frequency first), so
-        # that the forward transform's complex pass runs along the last axis
+        # that the forward transform's complex pass runs along the last axis;
+        # the difference signal sum |F|^2 is real, the sum signal sum F^2 is not
         self._pad = (next_fast_len(2 * h - 1), next_fast_len(2 * w - 1))
         spec_shape = (self._pad[1] // 2 + 1, self._pad[0])
-        self._sd = np.zeros(spec_shape, dtype=np.float64) if self._want_d else None
-        self._ss = np.zeros(spec_shape, dtype=np.complex128) if self._want_s else None
-        self._dref = np.zeros(spec_shape, dtype=np.complex128) if self._want_d else None
-        self._sref = np.zeros(spec_shape, dtype=np.complex128) if self._want_s else None
+        self._spec_sig = np.zeros(spec_shape, dtype=np.float64 if self.mode is Mode.DIFFERENCE
+                                  else np.complex128)
+        self._spec_ref = np.zeros(spec_shape, dtype=np.complex128)
         # per-frame buffers, reused for every frame: the zero-padded frame as
         # float64 and its row transform (transposed; their pads stay zero),
         # the spectra of this frame and the previous one (they swap each
@@ -249,10 +237,8 @@ class StackAccumulator:
         self._re = np.empty(spec_shape, dtype=np.float64)
         self._cx = np.empty(spec_shape, dtype=np.complex128)
         self._any_spectral = False
-        # expected totals per route, for exactness checks
-        self._tot_sig_sparse = 0
+        # expected spectral-route totals, for exactness checks
         self._tot_sig_spec = 0
-        self._tot_ref_sparse = 0
         self._tot_ref_spec = 0
         # previous frame (for the adjacent reference)
         self._prev: dict | None = None
@@ -263,9 +249,6 @@ class StackAccumulator:
         self._marginals: dict = {"col": [], "row": []}
         self._blocks: dict = {"col": [], "row": []}
         self._finalized = False
-        # precomputed index grids for window extraction from the padded inverse
-        self._drows = np.arange(-(h - 1), h) % self._pad[0]
-        self._dcols = np.arange(-(w - 1), w) % self._pad[1]
 
     # -- per-frame work ----------------------------------------------------
 
@@ -289,14 +272,13 @@ class StackAccumulator:
         frame["F"] = np.fft.fft(self._rows, axis=1, out=frame["spectrum"])
         return frame["F"]
 
-    def _sparse_pairs(self, k1: np.ndarray, k2: np.ndarray, d_acc, s_acc):
+    def _sparse_pairs(self, k1: np.ndarray, k2: np.ndarray, acc: np.ndarray):
         """Count ordered pairs (first photon from keys k1, second from k2)."""
-        if self._want_d:
+        if self.mode is Mode.DIFFERENCE:
             lin = np.subtract.outer(k2 + self._centre, k1).ravel()
-            d_acc += np.bincount(lin, minlength=self._flat_size)
-        if self._want_s:
+        else:
             lin = np.add.outer(k1, k2).ravel()
-            s_acc += np.bincount(lin, minlength=self._flat_size)
+        acc += np.bincount(lin, minlength=self._flat_size)
 
     def add(self, bits: np.ndarray):
         """Accumulate one binary frame (bool or 0/1 array of shape roi)."""
@@ -320,34 +302,30 @@ class StackAccumulator:
         re, cx = self._re, self._cx
         if n <= self.sparse_threshold:
             k = cur["keys"] = self._keys(bits)
-            self._sparse_pairs(k, k, self._d_sig, self._s_sig)
-            self._tot_sig_sparse += n * n
+            self._sparse_pairs(k, k, self._sig)
         else:
             F = self._transform(cur)
-            if self._want_d:  # |F|^2
-                self._sd += np.square(F.real, out=re)
-                self._sd += np.square(F.imag, out=re)
-            if self._want_s:
-                self._ss += np.square(F, out=cx)
+            if self.mode is Mode.DIFFERENCE:  # |F|^2
+                self._spec_sig += np.square(F.real, out=re)
+                self._spec_sig += np.square(F.imag, out=re)
+            else:
+                self._spec_sig += np.square(F, out=cx)
             self._any_spectral = True
             self._tot_sig_spec += n * n
 
         prev = self._prev
         if prev is not None:
-            npairs = prev["n"] * n
             if prev["keys"] is not None and cur["keys"] is not None:  # both sparse
-                self._sparse_pairs(prev["keys"], cur["keys"], self._d_ref, self._s_ref)
-                self._tot_ref_sparse += npairs
+                self._sparse_pairs(prev["keys"], cur["keys"], self._ref)
             else:
                 # a sparse frame beside a dense one is transformed on demand
                 F_prev = prev["F"] if prev["F"] is not None else self._transform(prev)
                 F_cur = cur["F"] if cur["F"] is not None else self._transform(cur)
-                if self._want_d:
-                    self._dref += np.multiply(np.conjugate(F_prev, out=cx), F_cur, out=cx)
-                if self._want_s:
-                    self._sref += np.multiply(F_prev, F_cur, out=cx)
+                if self.mode is Mode.DIFFERENCE:
+                    F_prev = np.conjugate(F_prev, out=cx)
+                self._spec_ref += np.multiply(F_prev, F_cur, out=cx)
                 self._any_spectral = True
-                self._tot_ref_spec += npairs
+                self._tot_ref_spec += prev["n"] * n
         self._prev = cur
 
     def _close_block(self):
@@ -357,12 +335,14 @@ class StackAccumulator:
 
     # -- finalisation --------------------------------------------------------
 
-    def _invert(self, spec: np.ndarray, shift: bool, expected_total: int) -> np.ndarray:
+    def _invert(self, spec: np.ndarray, expected_total: int) -> np.ndarray:
         """One inverse transform of a (transposed) spectrum -> integer window,
         with exactness checks."""
         full = np.fft.irfft2(spec.T, s=self._pad)
-        if shift:
-            win = full[np.ix_(self._drows, self._dcols)]
+        if self.mode is Mode.DIFFERENCE:  # offsets wrap round the padded grid
+            h, w = self.roi
+            win = full[np.ix_(np.arange(-(h - 1), h) % self._pad[0],
+                              np.arange(-(w - 1), w) % self._pad[1])]
         else:
             win = full[: self._map_shape[0], : self._map_shape[1]]
         rounded = np.rint(win)
@@ -395,41 +375,16 @@ class StackAccumulator:
             self._close_block()
         ones = np.asarray(self._ones, dtype=np.int64)
         exp_sig, exp_ref = _pair_totals(ones)
-        diff = summ = None
-        if self._want_d:
-            d_sig = self._d_sig.reshape(self._map_shape)
-            d_ref = self._d_ref.reshape(self._map_shape)
-            if self._any_spectral:
-                d_sig = d_sig + self._invert(self._sd.astype(np.complex128), True,
-                                             self._tot_sig_spec)
-                d_ref = d_ref + self._invert(self._dref, True, self._tot_ref_spec)
-            if int(d_sig.sum()) != exp_sig or int(d_ref.sum()) != exp_ref:
-                raise ConsistencyError("pair-count conservation failed on the difference maps")
-            diff = CorrelationMap(Mode.DIFFERENCE, d_sig, d_ref, n_frames, n_frames - 1,
-                                  self.roi)
-        if self._want_s:
-            s_sig = self._s_sig.reshape(self._map_shape)
-            s_ref = self._s_ref.reshape(self._map_shape)
-            if self._any_spectral:
-                s_sig = s_sig + self._invert(self._ss, False, self._tot_sig_spec)
-                s_ref = s_ref + self._invert(self._sref, False, self._tot_ref_spec)
-            if int(s_sig.sum()) != exp_sig or int(s_ref.sum()) != exp_ref:
-                raise ConsistencyError("pair-count conservation failed on the sum maps")
-            summ = CorrelationMap(Mode.SUM, s_sig, s_ref, n_frames, n_frames - 1, self.roi)
-        return StackResult(diff, summ, self._blocks, ones, self.roi)
-
-
-def accumulate(frames, roi: tuple[int, int] | None = None, **kwargs) -> StackResult:
-    """Convenience wrapper: run a StackAccumulator over an iterable of frames."""
-    acc = None
-    for bits in frames:
-        arr = np.asarray(bits)
-        if acc is None:
-            acc = StackAccumulator(roi if roi is not None else arr.shape, **kwargs)
-        acc.add(arr)
-    if acc is None:
-        raise ParameterError("empty frame stack")
-    return acc.finalize()
+        sig = self._sig.reshape(self._map_shape)
+        ref = self._ref.reshape(self._map_shape)
+        if self._any_spectral:
+            sig = sig + self._invert(self._spec_sig.astype(np.complex128, copy=False),
+                                     self._tot_sig_spec)
+            ref = ref + self._invert(self._spec_ref, self._tot_ref_spec)
+        if int(sig.sum()) != exp_sig or int(ref.sum()) != exp_ref:
+            raise ConsistencyError(f"pair-count conservation failed on the {self.mode.value} map")
+        cmap = CorrelationMap(self.mode, sig, ref, n_frames, n_frames - 1, self.roi)
+        return StackResult(cmap, self._blocks, ones)
 
 
 # ---------------------------------------------------------------------------

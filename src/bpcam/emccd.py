@@ -166,12 +166,6 @@ def expose(
     return charge, stats
 
 
-def dark_frame(cam: CameraParams, rng: np.random.Generator) -> np.ndarray:
-    """Noise-only exposure (no impacts)."""
-    frame, _ = expose(np.empty((0, 2)), cam, rng)
-    return frame
-
-
 # ---------------------------------------------------------------------------
 # calibration
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -514,12 +514,7 @@ def dimensionality(
     for axis, source in substitute.items():
         if source not in axes:
             raise ParameterError(f"substitute source {source!r} was not analysed")
-        src = axes[source]
-        axes[axis] = AxisDimensionality(
-            ratio=src.ratio, coverage=src.coverage, d_axis=src.d_axis,
-            sigma_narrow_um=src.sigma_narrow_um, sigma_broad_um=src.sigma_broad_um,
-            sigma_marginal_um=src.sigma_marginal_um, substituted_from=source,
-        )
+        axes[axis] = replace(axes[source], substituted_from=source)
     d_total = 1.0
     for ax in axes.values():
         d_total *= ax.d_axis

@@ -111,9 +111,9 @@ class SimulateResult:
 
     def summary(self) -> dict:
         return {
-            "out_dir": self.out_dir,
-            "dark_path": self.dark_path,
-            "stack_paths": self.stack_paths,
+            # names relative to the summary's directory, so it does not depend on where it is
+            "dark_path": Path(self.dark_path).name,
+            "stack_paths": {name: Path(p).name for name, p in self.stack_paths.items()},
             "threshold_k": self.threshold_k,
             "sigma_noise": self.sigma_noise,
             "dark_centre": self.dark_centre,
@@ -277,8 +277,7 @@ class _PlaneAnalysis:
     warnings: dict  # {step: text} for the steps that failed
 
 
-def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
-                   mask_artifacts: bool) -> _PlaneAnalysis:
+def _analyze_plane(path: str, plane: Plane, config: RunConfig) -> _PlaneAnalysis:
     """Accumulate one plane's stack, fit its figures and bootstrap their errors.
 
     A step whose estimate fails (AnalysisError, FitFailureError) becomes a
@@ -312,13 +311,12 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
     # a stack too short for them is one block
     reader = StackReader(path)
     edges = _try("blocks", f"{name} blocks", lambda: make_blocks(len(reader), config.n_blocks))
-    acc = StackAccumulator(config.roi, sparse_threshold=config.sparse_threshold, modes=(mode,),
+    acc = StackAccumulator(config.roi, mode, sparse_threshold=config.sparse_threshold,
                            block_edges=edges)
     for bits in reader:
         acc.add(bits)
     res = acc.finalize()
-    sub = subtract(res.difference if mode is Mode.DIFFERENCE else res.sum_map,
-                   mask_center=mask_artifacts, mask_smear_rows=mask_artifacts and smeared)
+    sub = subtract(res.map, mask_smear_rows=smeared)
 
     width = _try("map fit", f"sigma_{coord} fit",
                  lambda: fit_map_width(sub, pitch, window_px=NARROW_WINDOW_PX))
@@ -361,8 +359,9 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig, n_boot: int,
         records["dimensionality"] = (f"dimensionality_{name}",
                                      {ax: asdict(est) for ax, est in dims.axes.items()})
     errors = {}
-    if n_boot > 0 and edges is not None:
-        resampled = block_bootstrap(res.blocks, statistic, n_boot=n_boot, seed=config.seed + 1)
+    if config.n_bootstrap > 0 and edges is not None:
+        resampled = block_bootstrap(res.blocks, statistic, n_boot=config.n_bootstrap,
+                                    seed=config.seed + 1)
         errors = resampled.errors
         records["bootstrap"] = (f"bootstrap_{name}", {"resamples_ok": resampled.n_ok,
                                                       "resamples_failed": resampled.n_failed})
@@ -395,9 +394,6 @@ def analyze(
     config: RunConfig,
     *,
     check_digest: bool = True,
-    n_bootstrap: int | None = None,
-    snr_gate: float | None = None,
-    mask_artifacts: bool = True,
 ) -> AnalysisProducts:
     """Correlate both stacks and extract the entanglement figures of merit.
 
@@ -413,8 +409,6 @@ def analyze(
     `analyze` forks.
     """
     t0 = time.perf_counter()
-    gate = config.snr_gate if snr_gate is None else float(snr_gate)
-    n_boot = config.n_bootstrap if n_bootstrap is None else int(n_bootstrap)
     readers = {
         Plane.IMAGE: _open_checked(image_path, "image", config),
         Plane.FAR_FIELD: _open_checked(farfield_path, "farfield", config),
@@ -431,10 +425,8 @@ def analyze(
 
     # forked before the caller grows, so the worker does not inherit its arrays
     with _fork_worker() as worker:
-        image = worker.submit(_analyze_plane, readers[Plane.IMAGE].path, Plane.IMAGE, config,
-                              n_boot, mask_artifacts)
-        ff = _analyze_plane(readers[Plane.FAR_FIELD].path, Plane.FAR_FIELD, config, n_boot,
-                            mask_artifacts)
+        image = worker.submit(_analyze_plane, readers[Plane.IMAGE].path, Plane.IMAGE, config)
+        ff = _analyze_plane(readers[Plane.FAR_FIELD].path, Plane.FAR_FIELD, config)
         ip = image.result()
     planes = (ip, ff)
 
@@ -443,7 +435,7 @@ def analyze(
     violated = bool(
         np.isfinite(product)
         and product < HEISENBERG_PRODUCT
-        and all(np.isfinite(p.snr) and p.snr >= gate for p in planes)
+        and all(np.isfinite(p.snr) and p.snr >= config.snr_gate for p in planes)
     )
 
     # the errors need both planes' bootstraps, and so both planes' blocks
@@ -478,7 +470,7 @@ def analyze(
         epr_product_hbar2=float(product),
         heisenberg_bound_hbar2=HEISENBERG_PRODUCT,
         epr_violated=violated,
-        snr_gate=gate,
+        snr_gate=config.snr_gate,
         d_pos=float(ip.d),
         d_mom=float(ff.d),
         detail=detail,

@@ -98,6 +98,19 @@ def test_analyze_rejects_foreign_config(cli_run, tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+def test_analyze_flags_override_the_config(cli_run, tmp_path):
+    _, run_dir = cli_run
+    # the file asks for resamples and the default gate; the flags override both
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config().replace(n_bootstrap=5).as_dict()))
+    rc = main(["analyze", "--config", str(cfg_path), "--run-dir", str(run_dir),
+               "--out-dir", str(tmp_path), "--snr-gate", "3", "--bootstrap", "0"])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["snr_gate"] == 3.0
+    assert report["errors"] == {}
+
+
 def test_analyze_wants_stacks(tmp_path, capsys):
     rc = main(["analyze", "--run-dir", str(tmp_path)])
     assert rc == 1

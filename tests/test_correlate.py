@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpcam import Mode, StackAccumulator, accumulate, peak_snr, subtract
+from bpcam import Mode, StackAccumulator, peak_snr, subtract
 from bpcam.correlate import (
     block_joint,
     default_mask,
@@ -22,7 +22,7 @@ from bpcam.inference import make_blocks
 def brute_force_maps(frames):
     """Enumerate every ordered photon pair with plain Python loops.
 
-    Returns (d_sig, d_ref, s_sig, s_ref) indexed like the accumulator output:
+    Returns {Mode: (signal, reference)} indexed like the accumulator output:
     difference bins at [dr + H - 1, dc + W - 1], sum bins at [sr, sc].
     """
     h, w = frames[0].shape
@@ -42,7 +42,7 @@ def brute_force_maps(frames):
             for r2, c2 in cur:
                 d_ref[r2 - r1 + h - 1, c2 - c1 + w - 1] += 1
                 s_ref[r1 + r2, c1 + c2] += 1
-    return d_sig, d_ref, s_sig, s_ref
+    return {Mode.DIFFERENCE: (d_sig, d_ref), Mode.SUM: (s_sig, s_ref)}
 
 
 def random_stack(rng, h, w, n, p):
@@ -59,11 +59,18 @@ def corner_stack(h, w):
     return [corners, diagonal, corners, diagonal[::-1]]
 
 
-def run_accumulator(frames, **kwargs):
-    acc = StackAccumulator(frames[0].shape, **kwargs)
+def run_accumulator(frames, mode, **kwargs):
+    acc = StackAccumulator(frames[0].shape, mode, **kwargs)
     for f in frames:
         acc.add(f)
     return acc.finalize()
+
+
+def assert_map_equals_brute_force(cmap, mode, frames):
+    signal, reference = brute_force_maps(frames)[mode]
+    assert cmap.mode is mode
+    np.testing.assert_array_equal(cmap.signal, signal)
+    np.testing.assert_array_equal(cmap.reference, reference)
 
 
 def collapse(m):
@@ -98,12 +105,9 @@ def assert_joint_equals_brute_force(joint, counts):
 )
 def test_both_routes_match_brute_force(sparse_threshold, rng):
     for frames in (random_stack(rng, 7, 9, 6, 0.2), corner_stack(4, 13), corner_stack(13, 4)):
-        d_sig, d_ref, s_sig, s_ref = brute_force_maps(frames)
-        res = run_accumulator(frames, sparse_threshold=sparse_threshold)
-        np.testing.assert_array_equal(res.difference.signal, d_sig)
-        np.testing.assert_array_equal(res.difference.reference, d_ref)
-        np.testing.assert_array_equal(res.sum_map.signal, s_sig)
-        np.testing.assert_array_equal(res.sum_map.reference, s_ref)
+        for mode in Mode:
+            res = run_accumulator(frames, mode, sparse_threshold=sparse_threshold)
+            assert_map_equals_brute_force(res.map, mode, frames)
 
 
 @settings(max_examples=20)
@@ -117,10 +121,9 @@ def test_both_routes_match_brute_force(sparse_threshold, rng):
 def test_sparse_and_spectral_routes_agree(h, w, n, p, seed):
     """The integer pair counts must be identical whichever route ran."""
     frames = random_stack(np.random.default_rng(seed), h, w, n, p)
-    sparse = run_accumulator(frames, sparse_threshold=10**9)
-    spectral = run_accumulator(frames, sparse_threshold=0)
-    for a, b in ((sparse.difference, spectral.difference),
-                 (sparse.sum_map, spectral.sum_map)):
+    for mode in Mode:
+        a = run_accumulator(frames, mode, sparse_threshold=10**9).map
+        b = run_accumulator(frames, mode, sparse_threshold=0).map
         np.testing.assert_array_equal(a.signal, b.signal)
         np.testing.assert_array_equal(a.reference, b.reference)
 
@@ -152,108 +155,93 @@ def test_route_crossings_match_brute_force(rng):
     """
     counts = [3, 20, 2, 5, 30, 25, 1, 12, 8]  # threshold 8: dense at 20, 30, 25, 12
     frames = [frame_with(rng, 7, 9, n) for n in counts]
-    acc = CountingAccumulator((7, 9), sparse_threshold=8)
-    for f in frames:
-        acc.add(f)
-    res = acc.finalize()
-    # 4 dense frames; on demand 3 (before 20), 5 (before 30), 2 (after 20),
-    # 8 (after 12) and 1 (after 25), whose spectrum is kept for its reference
-    # with 12
-    assert acc.transforms == 4 + 5
-    d_sig, d_ref, s_sig, s_ref = brute_force_maps(frames)
-    np.testing.assert_array_equal(res.difference.signal, d_sig)
-    np.testing.assert_array_equal(res.difference.reference, d_ref)
-    np.testing.assert_array_equal(res.sum_map.signal, s_sig)
-    np.testing.assert_array_equal(res.sum_map.reference, s_ref)
+    for mode in Mode:
+        acc = CountingAccumulator((7, 9), mode, sparse_threshold=8)
+        for f in frames:
+            acc.add(f)
+        res = acc.finalize()
+        # 4 dense frames; on demand 3 (before 20), 5 (before 30), 2 (after 20),
+        # 8 (after 12) and 1 (after 25), whose spectrum is kept for its
+        # reference with 12
+        assert acc.transforms == 4 + 5
+        assert_map_equals_brute_force(res.map, mode, frames)
 
 
 def test_dense_frames_allocate_no_new_spectra(rng):
     # the transforms and products write into buffers made once; a fresh
     # 405 x 203 spectrum alone would be 1.3 MB
     frames = [rng.random((201, 201)) < 0.04 for _ in range(14)]
-    acc = StackAccumulator((201, 201))
-    for f in frames[:4]:
-        acc.add(f)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        for f in frames[4:]:
+    for mode in Mode:
+        acc = StackAccumulator((201, 201), mode)
+        for f in frames[:4]:
             acc.add(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 300_000
-    assert acc.finalize().n_frames == 14
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for f in frames[4:]:
+                acc.add(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 300_000
+        assert acc.finalize().n_frames == 14
 
 
 def test_pair_totals_conserved(rng):
     frames = random_stack(rng, 11, 12, 8, 0.3)
-    res = run_accumulator(frames)
-    ones = res.ones_per_frame
-    assert res.difference.signal.sum() == np.sum(ones**2)
-    assert res.sum_map.signal.sum() == np.sum(ones**2)
-    assert res.difference.reference.sum() == np.sum(ones[:-1] * ones[1:])
-    assert res.sum_map.reference.sum() == np.sum(ones[:-1] * ones[1:])
-    assert res.total_ones == ones.sum()
-    assert res.n_frames == 8
+    for mode in Mode:
+        res = run_accumulator(frames, mode)
+        ones = res.ones_per_frame
+        assert res.map.signal.sum() == np.sum(ones**2)
+        assert res.map.reference.sum() == np.sum(ones[:-1] * ones[1:])
+        assert res.total_ones == ones.sum()
+        assert res.n_frames == 8
 
 
 def test_difference_map_is_centrosymmetric(rng):
     """Ordered pairs come in (i, j)/(j, i) couples, so the difference map is
     symmetric under offset negation."""
     frames = random_stack(rng, 8, 8, 5, 0.25)
-    sig = run_accumulator(frames).difference.signal
+    sig = run_accumulator(frames, Mode.DIFFERENCE).map.signal
     np.testing.assert_array_equal(sig, sig[::-1, ::-1])
 
 
 def test_mirrored_frames_mirror_the_maps(rng):
     frames = random_stack(rng, 6, 10, 4, 0.3)
     mirrored = [f[:, ::-1] for f in frames]
-    a = run_accumulator(frames)
-    b = run_accumulator(mirrored)
-    np.testing.assert_array_equal(b.difference.signal, a.difference.signal[:, ::-1])
-    np.testing.assert_array_equal(b.sum_map.signal, a.sum_map.signal[:, ::-1])
+    for mode in Mode:
+        a = run_accumulator(frames, mode).map
+        b = run_accumulator(mirrored, mode).map
+        np.testing.assert_array_equal(b.signal, a.signal[:, ::-1])
 
 
 def test_identical_frames_subtract_to_zero(rng):
     """A static pattern correlates with itself exactly as with its neighbour,
     so the per-frame excess cancels bin by bin."""
     frame = rng.random((9, 9)) < 0.3
-    res = run_accumulator([frame.copy() for _ in range(5)])
-    for cmap in (res.difference, res.sum_map):
-        sub = subtract(cmap, mask_center=False)
+    for mode in Mode:
+        sub = subtract(run_accumulator([frame.copy() for _ in range(5)], mode).map,
+                       mask_center=False)
         np.testing.assert_allclose(sub.values, 0.0, atol=1e-12)
-
-
-def test_mode_restriction_skips_the_other_map(rng):
-    frames = random_stack(rng, 7, 7, 4, 0.3)
-    full = run_accumulator(frames)
-    only_d = run_accumulator(frames, modes=(Mode.DIFFERENCE,))
-    only_s = run_accumulator(frames, modes=("sum",))
-    assert only_d.sum_map is None and only_s.difference is None
-    np.testing.assert_array_equal(only_d.difference.signal, full.difference.signal)
-    np.testing.assert_array_equal(only_s.sum_map.reference, full.sum_map.reference)
-    with pytest.raises(ParameterError):
-        StackAccumulator((4, 4), modes=())
 
 
 def test_axes_and_marginals(rng):
     frames = random_stack(rng, 5, 8, 6, 0.4)
-    res = run_accumulator(frames)
-    assert res.difference.row_axis.tolist() == list(range(-4, 5))
-    assert res.difference.col_axis.tolist() == list(range(-7, 8))
-    assert res.sum_map.row_axis.tolist() == list(range(0, 9))
-    assert res.sum_map.col_axis.tolist() == list(range(0, 15))
-    # without block edges the whole stack is one block per axis
-    assert [len(b) for b in res.blocks.values()] == [1, 1]
-    for axis, sum_over in (("col", 0), ("row", 1)):
-        counts = np.array([f.sum(axis=sum_over) for f in frames])
-        assert_joint_equals_brute_force(res.blocks[axis][0], counts)
+    axes = {Mode.DIFFERENCE: (range(-4, 5), range(-7, 8)), Mode.SUM: (range(0, 9), range(0, 15))}
+    for mode, (rows, cols) in axes.items():
+        res = run_accumulator(frames, mode)
+        assert res.map.row_axis.tolist() == list(rows)
+        assert res.map.col_axis.tolist() == list(cols)
+        # without block edges the whole stack is one block per axis
+        assert [len(b) for b in res.blocks.values()] == [1, 1]
+        for axis, sum_over in (("col", 0), ("row", 1)):
+            counts = np.array([f.sum(axis=sum_over) for f in frames])
+            assert_joint_equals_brute_force(res.blocks[axis][0], counts)
 
 
 def test_joint_distribution_matches_marginal_products(rng):
     frames = random_stack(rng, 6, 7, 5, 0.4)
-    res = run_accumulator(frames, block_edges=(0, 2, 5))
+    res = run_accumulator(frames, Mode.SUM, block_edges=(0, 2, 5))
     cols = np.array([f.sum(axis=0) for f in frames])
     rows = np.array([f.sum(axis=1) for f in frames])
     for axis, counts in (("col", cols), ("row", rows)):
@@ -267,13 +255,13 @@ def test_joint_distribution_matches_marginal_products(rng):
         block_joint("col", cols[2:3])  # single frame
     for edges in ((0, 1, 5), (1, 5), (0, 3, 2), (0,)):
         with pytest.raises(ParameterError, match="block edges"):
-            StackAccumulator((6, 7), block_edges=edges)
+            StackAccumulator((6, 7), Mode.DIFFERENCE, block_edges=edges)
 
 
 def test_block_edges_must_match_the_frames_fed(rng):
     frames = random_stack(rng, 4, 5, 6, 0.4)
     for n_fed in (5, 7):
-        acc = StackAccumulator((4, 5), block_edges=(0, 3, 6))
+        acc = StackAccumulator((4, 5), Mode.DIFFERENCE, block_edges=(0, 3, 6))
         for f in (frames + frames)[:n_fed]:
             acc.add(f)
         with pytest.raises(ConsistencyError, match="block edges end at 6"):
@@ -284,7 +272,7 @@ def test_accumulator_holds_at_most_one_block_of_marginals(rng):
     frames = random_stack(rng, 5, 6, 23, 0.3)
     edges = make_blocks(len(frames), 4)
     longest = int(np.diff(edges).max())
-    acc = StackAccumulator((5, 6), block_edges=edges)
+    acc = StackAccumulator((5, 6), Mode.SUM, block_edges=edges)
     held = []
     for f in frames:
         acc.add(f)
@@ -296,13 +284,13 @@ def test_accumulator_holds_at_most_one_block_of_marginals(rng):
 
 
 def test_accumulator_guards(rng):
-    acc = StackAccumulator((4, 4))
+    acc = StackAccumulator((4, 4), Mode.DIFFERENCE)
     with pytest.raises(ParameterError):
         acc.add(np.zeros((3, 3), dtype=bool))
     acc.add(np.zeros((4, 4), dtype=bool))
     with pytest.raises(ParameterError):
         acc.finalize()  # only one frame
-    acc2 = StackAccumulator((4, 4))
+    acc2 = StackAccumulator((4, 4), Mode.SUM)
     acc2.add(np.zeros((4, 4), dtype=bool))
     acc2.add(np.zeros((4, 4), dtype=bool))
     acc2.finalize()
@@ -311,9 +299,9 @@ def test_accumulator_guards(rng):
     with pytest.raises(ConsistencyError):
         acc2.finalize()
     with pytest.raises(ParameterError):
-        StackAccumulator((0, 4))
+        StackAccumulator((0, 4), Mode.DIFFERENCE)
     with pytest.raises(ParameterError):
-        accumulate([])
+        StackAccumulator((4, 4), Mode.SUM).finalize()  # no frames
 
 
 def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
@@ -341,32 +329,37 @@ def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
         assert sum(a.size for a in arrays) == 4 * (2 * w - 1) + w
 
 
-def test_accumulate_wrapper_accepts_array_likes(rng):
+def test_add_accepts_array_likes(rng):
     frames = random_stack(rng, 5, 5, 3, 0.3)
-    direct = run_accumulator(frames)
-    as_lists = accumulate([f.astype(int).tolist() for f in frames])
-    np.testing.assert_array_equal(as_lists.difference.signal, direct.difference.signal)
+    for mode in Mode:
+        direct = run_accumulator(frames, mode)
+        acc = StackAccumulator((5, 5), mode)
+        for f in frames:
+            acc.add(f.astype(int).tolist())
+        as_lists = acc.finalize()
+        np.testing.assert_array_equal(as_lists.map.signal, direct.map.signal)
+        np.testing.assert_array_equal(as_lists.map.reference, direct.map.reference)
 
 
 def test_subtraction_and_masks(rng):
     frames = random_stack(rng, 6, 6, 4, 0.3)
-    res = run_accumulator(frames)
-    sub = subtract(res.difference)
-    expected = (res.difference.signal / 4) - (res.difference.reference / 3)
+    diff = run_accumulator(frames, Mode.DIFFERENCE).map
+    sub = subtract(diff)
+    expected = (diff.signal / 4) - (diff.reference / 3)
     np.testing.assert_allclose(sub.values, expected)
     assert sub.mask[5, 5]  # the self-pair bin
     assert sub.mask.sum() == 1
 
-    smeared = subtract(res.difference, mask_smear_rows=True)
+    smeared = subtract(diff, mask_smear_rows=True)
     assert smeared.mask[4, 5] and smeared.mask[6, 5]
     assert smeared.mask.sum() == 3
 
-    assert subtract(res.sum_map).mask.sum() == 0
+    assert subtract(run_accumulator(frames, Mode.SUM).map).mask.sum() == 0
 
     mask = default_mask(Mode.DIFFERENCE, (6, 6), mask_center=False)
     assert mask.sum() == 0
     with pytest.raises(ParameterError):
-        subtract(res.difference, mask=np.zeros((3, 3), dtype=bool))
+        subtract(diff, mask=np.zeros((3, 3), dtype=bool))
 
 
 def test_peak_snr_detects_a_planted_peak(rng):
@@ -374,7 +367,7 @@ def test_peak_snr_detects_a_planted_peak(rng):
     values = rng.normal(0.0, 1.0, size=(2 * h - 1, 2 * w - 1))
     values[h - 1, w - 1] += 500.0
     sub_like = subtract(
-        run_accumulator(random_stack(rng, h, w, 2, 0.01)).difference,
+        run_accumulator(random_stack(rng, h, w, 2, 0.01), Mode.DIFFERENCE).map,
         mask_center=False,
     )
     sub_like.values = values

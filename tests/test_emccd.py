@@ -10,7 +10,6 @@ from bpcam.emccd import (
     Calibration,
     calibrate,
     calibrate_flux_equivalence,
-    dark_frame,
     dark_occupancy,
     expose,
     pixel_coords,
@@ -143,13 +142,6 @@ def test_cic_events_hit_pixels_at_the_configured_probability():
     assert abs(occ - p) < 5 * se
 
 
-def test_dark_frame_matches_empty_exposure():
-    cam = CameraParams(roi=(16, 16))
-    a = dark_frame(cam, substream(7, 0, 0))
-    b, _ = expose(np.empty((0, 2)), cam, substream(7, 0, 0))
-    np.testing.assert_array_equal(a, b)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -174,7 +166,7 @@ def test_camera_validation(kwargs):
 # -- calibration ---------------------------------------------------------------
 
 def make_darks(n, cam, seed=11):
-    return [dark_frame(cam, substream(seed, 0, i)) for i in range(n)]
+    return [expose(np.empty((0, 2)), cam, substream(seed, 0, i))[0] for i in range(n)]
 
 
 def test_calibrate_recovers_pure_gaussian_noise():
@@ -204,7 +196,7 @@ def test_calibrate_needs_at_least_two_frames():
 
 def test_calibrate_rejects_one_shot_generators():
     cam = CameraParams(roi=(8, 8))
-    gen = (dark_frame(cam, substream(1, 0, i)) for i in range(10))
+    gen = iter(make_darks(10, cam, seed=1))
     with pytest.raises(ParameterError, match="re-iterable"):
         calibrate(gen)
 

@@ -368,7 +368,7 @@ def test_blocks_pool_back_to_the_full_joint():
     edges = make_blocks(len(frames), 10)
 
     def blocks(**kwargs):
-        acc = StackAccumulator(frames.shape[1:], **kwargs)
+        acc = StackAccumulator(frames.shape[1:], Mode.DIFFERENCE, **kwargs)
         for f in frames:
             acc.add(f)
         return acc.finalize().blocks

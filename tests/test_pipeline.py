@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, inference, pipeline
-from bpcam.correlate import Mode, StackAccumulator, accumulate, subtract
+from bpcam.correlate import Mode, StackAccumulator, subtract
 from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW
 from bpcam.pipeline import analyze, simulate
@@ -45,10 +45,10 @@ def test_small_run_maps_match_a_sequential_pass(small_run):
     cfg, sim, products = small_run
     for key, plane, mode in (("image_difference", "image", Mode.DIFFERENCE),
                              ("farfield_sum", "farfield", Mode.SUM)):
-        res = accumulate(StackReader(sim.stack_paths[plane]),
-                         sparse_threshold=cfg.sparse_threshold, modes=(mode,))
-        cmap = res.difference if mode is Mode.DIFFERENCE else res.sum_map
-        want = subtract(cmap)
+        acc = StackAccumulator(cfg.roi, mode, sparse_threshold=cfg.sparse_threshold)
+        for bits in StackReader(sim.stack_paths[plane]):
+            acc.add(bits)
+        want = subtract(acc.finalize().map)
         np.testing.assert_array_equal(products.maps[key].values, want.values)
 
 
@@ -84,6 +84,15 @@ def test_sim_summary_records_stage_times(small_run):
     assert summary["elapsed_s"] >= summary["dark_s"] + max(plane_s)
     cal = calibrate(StackReader(sim.dark_path))
     assert summary["n_unclipped_fallback"] == cal.n_unclipped_fallback
+
+
+def test_sim_summary_names_files_relative_to_itself(tmp_path):
+    simulate(RunConfig().replace(**TINY), tmp_path / "run")
+    text = (tmp_path / "run" / "sim_summary.json").read_text()
+    assert str(tmp_path) not in text
+    summary = json.loads(text)
+    for name in (summary["dark_path"], *summary["stack_paths"].values()):
+        assert (tmp_path / "run" / name).is_file()
 
 
 def test_simulation_is_bit_reproducible(tmp_path):
@@ -192,7 +201,7 @@ def test_analyze_worker_failure_is_raised_and_reaped(small_run, monkeypatch):
     finalize = StackAccumulator.finalize
 
     def failing(self):
-        if Mode.DIFFERENCE in self.modes:
+        if self.mode is Mode.DIFFERENCE:
             raise ConsistencyError("image plane failed in the worker")
         return finalize(self)
 
@@ -381,12 +390,13 @@ def test_bootstrap_needs_blocks_on_both_planes(small_run, tmp_path, short):
     # one frame short of two per block: that plane gets no blocks
     paths[short] = _truncated_copy(paths[short], tmp_path / f"{short}.bpcm",
                                    2 * cfg.n_blocks - 1)
-    redone = analyze(paths["image"], paths["farfield"], cfg, n_bootstrap=5)
+    cfg = cfg.replace(n_bootstrap=5)
+    redone = analyze(paths["image"], paths["farfield"], cfg)
     assert redone.report.errors == {}
     labels = [text.split(":")[0] for text in redone.warnings]
     assert f"{short} blocks" in labels
     assert not [label for label in labels if label.endswith("bootstrap")]
-    both = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg, n_bootstrap=5)
+    both = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
     assert set(both.report.errors) >= {"d_pos", "d_mom", "epr_product_hbar2"}
 
 
@@ -394,7 +404,7 @@ def test_bootstrap_errors_present_only_when_requested(small_run, tmp_path):
     cfg, sim, products = small_run
     assert products.report.errors == {}
     redone = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"],
-                     cfg, n_bootstrap=20)
+                     cfg.replace(n_bootstrap=20))
     errs = redone.report.errors
     for key in ("sigma_pos_um", "sigma_mom_um", "cond_var_x_um2",
                 "cond_var_p_hbar2_per_um2", "d_pos", "d_mom",
