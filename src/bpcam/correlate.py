@@ -52,6 +52,9 @@ RESIDUAL_TOL = 0.25
 #: frames with at most this many photons take the sparse route
 SPARSE_THRESHOLD = 256
 
+#: `peak_snr`'s background: bins this many map bins (Chebyshev distance) from the peak
+SNR_ANNULUS = (60, 150)
+
 
 class Mode(str, Enum):
     """Which pair coordinate a map is histogrammed over."""
@@ -390,38 +393,31 @@ class StackAccumulator:
 # ---------------------------------------------------------------------------
 # subtraction and map statistics
 
-def default_mask(mode: Mode, roi: tuple[int, int], mask_center: bool = True,
-                 mask_smear_rows: bool = False) -> np.ndarray:
-    """Bins excluded from fits: self-pair centre and charge-smear offsets.
+def default_mask(mode: Mode, roi: tuple[int, int], mask_smear_rows: bool = False) -> np.ndarray:
+    """Bins excluded from fits: the self-pair centre and charge-smear offsets.
 
-    On the difference map all self-pairs land on (0, 0) and vertical smear
-    copies land on (dr = +/-1, dc = 0); neither is cancelled by the
-    adjacent-frame reference.  Sum maps spread both artifacts over broad
-    ridges instead of single bins, so nothing is masked by default there.
+    On the difference map all self-pairs land on (0, 0), always masked, and
+    vertical smear copies land on (dr = +/-1, dc = 0); neither is cancelled
+    by the adjacent-frame reference.  Sum maps spread both artifacts over
+    broad ridges instead of single bins, so nothing is masked there.
     """
     h, w = roi
     mask = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
     if mode is Mode.DIFFERENCE:
-        if mask_center:
-            mask[h - 1, w - 1] = True
+        mask[h - 1, w - 1] = True
         if mask_smear_rows:
             mask[h - 2, w - 1] = True
             mask[h, w - 1] = True
     return mask
 
 
-def subtract(cmap: CorrelationMap, mask: np.ndarray | None = None,
-             mask_center: bool = True, mask_smear_rows: bool = False) -> SubtractedMap:
-    """Per-frame pair excess: signal/N - reference/(N-1)."""
+def subtract(cmap: CorrelationMap, mask_smear_rows: bool = False) -> SubtractedMap:
+    """Per-frame pair excess signal/N - reference/(N-1), masked by `default_mask`."""
     if cmap.n_frames < 2 or cmap.n_reference_pairs < 1:
         raise ParameterError("subtraction needs at least 2 frames")
-    if mask is None:
-        mask = default_mask(cmap.mode, cmap.roi, mask_center, mask_smear_rows)
-    elif mask.shape != cmap.signal.shape:
-        raise ParameterError(f"mask shape {mask.shape} != map shape {cmap.signal.shape}")
     values = cmap.signal / cmap.n_frames - cmap.reference / cmap.n_reference_pairs
-    return SubtractedMap(cmap.mode, values, mask.astype(bool), cmap.roi,
-                         cmap.row_axis, cmap.col_axis)
+    return SubtractedMap(cmap.mode, values, default_mask(cmap.mode, cmap.roi, mask_smear_rows),
+                         cmap.roi, cmap.row_axis, cmap.col_axis)
 
 
 @dataclass
@@ -435,27 +431,24 @@ class PeakSnr:
     n_background_bins: int
 
 
-def peak_snr(sub: SubtractedMap, peak: tuple[int, int] | None = None,
-             halfwidth: int = 1, annulus: tuple[int, int] = (60, 150)) -> PeakSnr:
-    """Mean over a (2*halfwidth+1)^2 window at the expected peak, divided by
-    the standard error of the background (a Chebyshev-distance annulus).
+def peak_snr(sub: SubtractedMap) -> PeakSnr:
+    """Mean over the 3 x 3 window at the expected peak, divided by the
+    standard error of the background (the SNR_ANNULUS of Chebyshev distances).
 
     The expected peak sits at zero offset (difference maps) or at twice the
     centre pixel (sum maps); masked bins are excluded from both regions.
     """
     h, w = sub.roi
-    if peak is None:
-        if sub.mode is Mode.DIFFERENCE:
-            peak = (h - 1, w - 1)
-        else:
-            peak = (2 * (h // 2), 2 * (w // 2))
-    r0, c0 = peak
+    if sub.mode is Mode.DIFFERENCE:
+        r0, c0 = h - 1, w - 1
+    else:
+        r0, c0 = 2 * (h // 2), 2 * (w // 2)
     rows = np.arange(sub.values.shape[0])[:, None]
     cols = np.arange(sub.values.shape[1])[None, :]
     cheb = np.maximum(np.abs(rows - r0), np.abs(cols - c0))
     ok = ~sub.mask
-    in_peak = (cheb <= halfwidth) & ok
-    lo, hi = annulus
+    in_peak = (cheb <= 1) & ok
+    lo, hi = SNR_ANNULUS
     in_bg = (cheb >= lo) & (cheb <= hi) & ok
     n_peak = int(np.count_nonzero(in_peak))
     n_bg = int(np.count_nonzero(in_bg))
@@ -502,8 +495,7 @@ def pair_histogram(matrix: np.ndarray) -> dict:
             .astype(np.int64) for mode, keys in _pair_keys(w).items()}
 
 
-def joint_excess_histogram(joint: JointDistribution, mode: Mode,
-                           remove_self_pairs: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def joint_excess_histogram(joint: JointDistribution, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame pair excess along one axis: signal/N - reference/(N-1).
 
     Returns (`pair_axis` grid, excess).  Self-pairs (a photon paired with
@@ -513,12 +505,10 @@ def joint_excess_histogram(joint: JointDistribution, mode: Mode,
     zero-offset (difference) / even-sum (sum) excess.
     """
     w = joint.self_counts.size
-    sig = joint.signal[mode]
-    if remove_self_pairs:
-        sig = sig.copy()
-        if mode is Mode.DIFFERENCE:
-            sig[w - 1] -= joint.self_counts.sum()
-        else:
-            sig[::2] -= joint.self_counts
+    sig = joint.signal[mode].copy()
+    if mode is Mode.DIFFERENCE:
+        sig[w - 1] -= joint.self_counts.sum()
+    else:
+        sig[::2] -= joint.self_counts
     excess = sig / joint.n_frames - joint.reference[mode] / joint.n_reference_pairs
     return pair_axis(w, mode), excess

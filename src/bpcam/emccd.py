@@ -35,6 +35,9 @@ from .errors import ParameterError
 #: MAD -> sigma for a Gaussian core: 1 / Phi^-1(3/4)
 _MAD_TO_SIGMA = 1.0 / 0.6744897501960817
 
+#: `calibrate` averages each pixel over the dark values within this many scales of the centre
+CLIP_SIGMAS = 5.0
+
 
 @dataclass(frozen=True)
 class CameraParams:
@@ -192,14 +195,13 @@ class _StreamHist:
         self.over = 0
 
     def add(self, values: np.ndarray):
-        v = np.asarray(values).ravel()
-        idx = np.floor((v - self.lo) / self.width).astype(np.int64)
-        under = idx < 0
-        over = idx >= self.nbins
-        self.under += int(np.count_nonzero(under))
-        self.over += int(np.count_nonzero(over))
-        inb = ~(under | over)
-        self.counts += np.bincount(idx[inb], minlength=self.nbins)
+        """Count finite values: indices clipped to -1 and nbins count as under and over."""
+        idx = np.floor((np.asarray(values).ravel() - self.lo) / self.width)
+        np.clip(idx, -1, self.nbins, out=idx)
+        c = np.bincount(idx.astype(np.int64) + 1, minlength=self.nbins + 2)
+        self.under += int(c[0])
+        self.over += int(c[-1])
+        self.counts += c[1:-1]
 
     @property
     def total(self) -> int:
@@ -257,12 +259,12 @@ def _iter_checked(frames, expected_shape=None):
         yield f
 
 
-def calibrate(frames, clip_sigmas: float = 5.0) -> Calibration:
+def calibrate(frames) -> Calibration:
     """Estimate per-pixel background means and the Gaussian noise width.
 
     `frames` must be iterable twice (a list, or a stack reader): pass 1 finds
     a robust global centre/scale from a value histogram, pass 2 accumulates
-    per-pixel means clipped to centre ± clip_sigmas * scale (so EM-amplified
+    per-pixel means clipped to centre ± CLIP_SIGMAS * scale (so EM-amplified
     CIC and the exponential tail do not drag them) and a fine residual
     histogram whose MAD gives sigma_noise.
     """
@@ -286,8 +288,8 @@ def calibrate(frames, clip_sigmas: float = 5.0) -> Calibration:
         raise ParameterError("dark stack has zero spread; cannot calibrate")
 
     # pass 2: clipped per-pixel means + fine residual histogram
-    clip_lo = centre - clip_sigmas * scale
-    clip_hi = centre + clip_sigmas * scale
+    clip_lo = centre - CLIP_SIGMAS * scale
+    clip_hi = centre + CLIP_SIGMAS * scale
     psum = np.zeros(shape, dtype=np.float64)
     pcnt = np.zeros(shape, dtype=np.int64)
     hist2 = _StreamHist(-12.0 * scale, 12.0 * scale, 4800)
@@ -332,22 +334,17 @@ def threshold(frame: np.ndarray, cal: Calibration, k: float) -> np.ndarray:
     return (frame - cal.pixel_mean) > (k * cal.sigma_noise)
 
 
-def calibrate_flux_equivalence(
-    frames,
-    target_occupancy: float = 0.02,
-    calibration: Calibration | None = None,
-) -> float:
+def calibrate_flux_equivalence(frames, target_occupancy: float, calibration: Calibration) -> float:
     """Smallest k whose dark (noise-only) occupancy is <= target_occupancy.
 
-    Streams the dark stack once, histograms the standardised residuals
+    Streams the dark stack once more after `calibrate` has made
+    `calibration` from it, histograms the standardised residuals
     z = (value - pixel_mean) / sigma_noise, and inverts the empirical
     exceedance.  For purely Gaussian noise this converges to the normal
     isf: k(0.02) ~= 2.054.
     """
     if not (0.0 < target_occupancy < 1.0):
         raise ParameterError(f"target_occupancy must be in (0, 1), got {target_occupancy!r}")
-    if calibration is None:
-        calibration = calibrate(frames)
     hist = _StreamHist(-20.0, 80.0, 20000)
     inv_sigma = 1.0 / calibration.sigma_noise
     n = 0

@@ -48,7 +48,6 @@ PLANE_DARK = 0
 PLANE_IMAGE = 1
 PLANE_FARFIELD = 2
 _PLANE_NAMES = {PLANE_DARK: "dark", PLANE_IMAGE: "image", PLANE_FARFIELD: "farfield"}
-PLANE_CODES = {name: code for code, name in _PLANE_NAMES.items()}
 
 #: raw frames are fixed point with this many steps per electron
 RAW_SCALE = 256.0
@@ -157,17 +156,10 @@ class StackWriter:
     raises deletes it and leaves any earlier file at `path`.
     """
 
-    def __init__(self, path, *, kind: int, plane, shape: tuple[int, int],
+    def __init__(self, path, *, kind: int, plane: int, shape: tuple[int, int],
                  seed: int = 0, config_digest: bytes = b"\x00" * 32):
         if kind not in _KIND_NAMES:
             raise ParameterError(f"unknown frame kind {kind!r}")
-        if isinstance(plane, str):
-            try:
-                plane = PLANE_CODES[plane]
-            except KeyError:
-                raise ParameterError(
-                    f"unknown plane {plane!r}, expected one of {sorted(PLANE_CODES)}"
-                ) from None
         if plane not in _PLANE_NAMES:
             raise ParameterError(f"unknown plane code {plane!r}")
         if len(config_digest) != 32:

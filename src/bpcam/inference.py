@@ -33,7 +33,6 @@ from .correlate import (
     joint_excess_histogram,
 )
 from .errors import AnalysisError, FitFailureError, ParameterError
-from .model import HEISENBERG_PRODUCT
 
 #: variance added to a pair coordinate (sum or difference of two binned values)
 PIXEL_VAR_PAIR = 1.0 / 6.0
@@ -317,13 +316,13 @@ def central_cross_section(sub: SubtractedMap):
     return sub.col_axis.astype(float), sub.values[row], sub.mask[row]
 
 
-def fit_map_width(sub: SubtractedMap, pitch_um: float, window_px: int | None = None) -> WidthEstimate:
-    """Correlation width from the central cross-section of a subtracted map."""
+def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
+    """Correlation width from the central cross-section of a subtracted map,
+    fitted within NARROW_WINDOW_PX of its highest unmasked bin."""
     x, y, m = central_cross_section(sub)
-    if window_px is not None:
-        peak = x[np.argmax(np.where(m, -np.inf, y))]
-        keep = np.abs(x - peak) <= window_px
-        x, y, m = x[keep], y[keep], m[keep]
+    peak = x[np.argmax(np.where(m, -np.inf, y))]
+    keep = np.abs(x - peak) <= NARROW_WINDOW_PX
+    x, y, m = x[keep], y[keep], m[keep]
     fit = fit_gaussian(x, y, mask=m)
     return deconvolved_width(fit, pitch_um, PIXEL_VAR_PAIR)
 
@@ -388,15 +387,15 @@ def inferred_variance(
     *,
     pitch_um: float,
     scale: float,
-    window_px: int | None = NARROW_WINDOW_PX,
 ) -> InferredVariance:
-    """Minimum inferred variance along one axis from the pair-coordinate fit.
+    """Minimum inferred variance along one axis from the pair-coordinate fit,
+    made within NARROW_WINDOW_PX of its peak.
 
     Use mode=DIFFERENCE with scale = 1/M on an image plane (source-plane
     um^2) and mode=SUM with scale = k/f on a far field (momentum variance in
     units of hbar^2/um^2).
     """
-    width = fit_joint_width(joint, mode, pitch_um, window_px=window_px)
+    width = fit_joint_width(joint, mode, pitch_um, window_px=NARROW_WINDOW_PX)
     det_var = width.sigma_um ** 2
     return InferredVariance(
         variance=det_var * scale ** 2,
@@ -486,17 +485,17 @@ def dimensionality(
     joints: dict,
     *,
     pitch_um: float,
-    extent_px,
+    extent_px: dict,
     narrow: Mode,
     substitute: dict | None = None,
     narrow_fits: dict | None = None,
 ) -> DimensionalityEstimate:
     """Total mode count as the product of per-axis estimates.
 
-    `extent_px` is the sensor extent along each axis (a number, or a dict
-    keyed like `joints` for non-square regions).  `substitute` maps an axis
-    to another whose estimate it should reuse, e.g. {"row": "col"} on an
-    image plane where vertical charge smear contaminates the row statistics.
+    `extent_px` maps each axis of `joints` to the sensor extent along it,
+    in pixels.  `substitute` maps an axis to another whose estimate it
+    should reuse, e.g. {"row": "col"} on an image plane where vertical
+    charge smear contaminates the row statistics.
     `narrow_fits` maps an axis to the `narrow_fit` its `axis_dimensionality`
     reuses.
     """
@@ -506,9 +505,8 @@ def dimensionality(
     for axis, joint in joints.items():
         if axis in substitute:
             continue
-        extent = extent_px[axis] if isinstance(extent_px, dict) else extent_px
         axes[axis] = axis_dimensionality(
-            joint, pitch_um=pitch_um, extent_px=extent, narrow=narrow,
+            joint, pitch_um=pitch_um, extent_px=extent_px[axis], narrow=narrow,
             narrow_fit=narrow_fits.get(axis),
         )
     for axis, source in substitute.items():

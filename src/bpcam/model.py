@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
 
@@ -84,13 +84,9 @@ class SourceParams:
 
     @property
     def sigma_minus(self) -> float:
-        """Std dev of the pair-separation Gaussian (um)."""
-        return derive_sigma_minus(self)
-
-
-def derive_sigma_minus(params: SourceParams) -> float:
-    """Birth-zone width sqrt(alpha * L * lambda_p / 2pi) in um."""
-    return math.sqrt(params.alpha * params.crystal_length * params.pump_wavelength / TWO_PI)
+        """Std dev of the pair-separation Gaussian: the birth-zone width
+        sqrt(alpha * L * lambda_p / 2pi) in um."""
+        return math.sqrt(self.alpha * self.crystal_length * self.pump_wavelength / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -186,17 +182,7 @@ class AnalyticPrediction:
     epr_product_hbar2: float
 
     def as_dict(self) -> dict:
-        return {
-            "sigma_minus_um": self.sigma_minus_um,
-            "sigma_plus_um": self.sigma_plus_um,
-            "sigma_pos_um": self.sigma_pos_um,
-            "sigma_mom_um": self.sigma_mom_um,
-            "mode_count": self.mode_count,
-            "cond_var_x_um2": self.cond_var_x_um2,
-            "cond_var_p_hbar2_per_um2": self.cond_var_p_hbar2_per_um2,
-            "epr_product_hbar2": self.epr_product_hbar2,
-            "heisenberg_bound_hbar2": HEISENBERG_PRODUCT,
-        }
+        return {**asdict(self), "heisenberg_bound_hbar2": HEISENBERG_PRODUCT}
 
 
 def predict(

@@ -20,7 +20,6 @@ and the caller should run no other threads while it forks.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 import re
@@ -52,7 +51,6 @@ from .framestack import (
     StackWriter,
 )
 from .inference import (
-    NARROW_WINDOW_PX,
     EprReport,
     block_bootstrap,
     combine_joints,
@@ -127,25 +125,33 @@ class SimulateResult:
         }
 
 
-def _fork_worker() -> ProcessPoolExecutor:
-    """One worker process, forked from the caller at the first submit.
+def _over_planes(fn, planes, *args) -> dict:
+    """{plane: fn(plane, *args)}: the first plane in the caller, the rest in one worker.
 
+    The rest are submitted before the caller starts on the first, so the
+    worker forks before the caller grows and does not inherit its arrays.
     A process, not a thread: the per-frame work, the sparse pair counting
     and the fits hold the GIL.  The fork starts it with the caller's imports
-    done; it needs a POSIX fork.
+    done; it needs a POSIX fork, and the caller should run no other threads
+    while it forks.  A single plane starts no process.
     """
-    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+    first, rest = planes[0], planes[1:]
+    if not rest:
+        return {first: fn(first, *args)}
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("fork")) as worker:
+        futures = {plane: worker.submit(fn, plane, *args) for plane in rest}
+        results = {first: fn(first, *args)}
+        return results | {plane: fut.result() for plane, fut in futures.items()}
 
 
 def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) -> SimulateResult:
     """Generate dark + photon stacks under `config`, writing to `out_dir`.
 
     After the darks and the calibration, the caller simulates the first
-    plane and one worker process the others.  The worker is forked from the
-    caller, so it starts with the imports done and needs a POSIX fork; the
-    caller should run no other threads while it forks.  A single-plane call
-    starts no process.  The stacks do not depend on which planes run
-    together or where.
+    plane and one worker process the others (`_over_planes`).  A
+    single-plane call starts no process.  The stacks do not depend on which
+    planes run together or where.
     Temporary stack files left in `out_dir` by a killed earlier run are
     deleted first.
     """
@@ -156,37 +162,28 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
         if _STALE_TMP.fullmatch(stale.name):
             stale.unlink()
     digest = config.sim_digest()
-    planes = [Plane(p) for p in planes]
 
-    # the worker forks at the first submit, once the calibration is done
-    with _fork_worker() if len(planes) > 1 else contextlib.nullcontext() as worker:
-        t_dark = time.perf_counter()
-        dark_cam = config.camera(None)
-        dark_path = out / "dark.bpcm"
-        with StackWriter(dark_path, kind=KIND_RAW, plane=PLANE_DARK, shape=config.roi,
-                         seed=config.seed, config_digest=digest) as wr:
-            for i in range(config.n_dark_frames):
-                rng = substream(config.seed, PLANE_DARK, i)
-                frame, _ = expose(_NO_IMPACTS, dark_cam, rng)
-                wr.write(frame)
-        darks = StackReader(dark_path)
-        cal = calibrate(darks)
-        if config.threshold_k is not None:
-            k = float(config.threshold_k)
-        else:
-            k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
-        dark_s = time.perf_counter() - t_dark
+    t_dark = time.perf_counter()
+    dark_cam = config.camera(None)
+    dark_path = out / "dark.bpcm"
+    with StackWriter(dark_path, kind=KIND_RAW, plane=PLANE_DARK, shape=config.roi,
+                     seed=config.seed, config_digest=digest) as wr:
+        for i in range(config.n_dark_frames):
+            rng = substream(config.seed, PLANE_DARK, i)
+            frame, _ = expose(_NO_IMPACTS, dark_cam, rng)
+            wr.write(frame)
+    darks = StackReader(dark_path)
+    cal = calibrate(darks)
+    if config.threshold_k is not None:
+        k = float(config.threshold_k)
+    else:
+        k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
+    dark_s = time.perf_counter() - t_dark
 
-        futures = {plane.value: worker.submit(_simulate_plane, config, str(out), digest, cal, k,
-                                              plane)
-                   for plane in planes[1:]}
-        stack_paths: dict = {}
-        plane_stats: dict = {}
-        for plane in planes[:1]:
-            stack_paths[plane.value], plane_stats[plane.value] = _simulate_plane(
-                config, str(out), digest, cal, k, plane)
-        for name, fut in futures.items():
-            stack_paths[name], plane_stats[name] = fut.result()
+    done = _over_planes(_simulate_plane, [Plane(p) for p in planes], config, str(out), digest,
+                        cal, k)
+    stack_paths = {plane.value: path for plane, (path, _) in done.items()}
+    plane_stats = {plane.value: stats for plane, (_, stats) in done.items()}
 
     result = SimulateResult(
         config=config,
@@ -206,8 +203,8 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     return result
 
 
-def _simulate_plane(config: RunConfig, out_dir: str, digest: bytes, calibration: Calibration,
-                    k: float, plane: Plane) -> tuple[str, PlaneSimStats]:
+def _simulate_plane(plane: Plane, config: RunConfig, out_dir: str, digest: bytes,
+                    calibration: Calibration, k: float) -> tuple[str, PlaneSimStats]:
     """Expose and threshold every frame of one plane into its stack file."""
     t0 = time.perf_counter()
     code = _PLANE_CODE[plane]
@@ -277,7 +274,7 @@ class _PlaneAnalysis:
     warnings: dict  # {step: text} for the steps that failed
 
 
-def _analyze_plane(path: str, plane: Plane, config: RunConfig) -> _PlaneAnalysis:
+def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalysis:
     """Accumulate one plane's stack, fit its figures and bootstrap their errors.
 
     A step whose estimate fails (AnalysisError, FitFailureError) becomes a
@@ -309,7 +306,7 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig) -> _PlaneAnalysis
 
     # the pass cuts the joints per transverse axis into the bootstrap blocks;
     # a stack too short for them is one block
-    reader = StackReader(path)
+    reader = StackReader(paths[plane])
     edges = _try("blocks", f"{name} blocks", lambda: make_blocks(len(reader), config.n_blocks))
     acc = StackAccumulator(config.roi, mode, sparse_threshold=config.sparse_threshold,
                            block_edges=edges)
@@ -319,7 +316,7 @@ def _analyze_plane(path: str, plane: Plane, config: RunConfig) -> _PlaneAnalysis
     sub = subtract(res.map, mask_smear_rows=smeared)
 
     width = _try("map fit", f"sigma_{coord} fit",
-                 lambda: fit_map_width(sub, pitch, window_px=NARROW_WINDOW_PX))
+                 lambda: fit_map_width(sub, pitch))
     if width:
         records["map fit"] = (f"sigma_{coord}_fit",
                               {"sigma_px": width.sigma_px, **width.fit.as_dict()})
@@ -423,12 +420,9 @@ def analyze(
             "(use check_digest=False / --ignore-digest to analyse anyway)"
         )
 
-    # forked before the caller grows, so the worker does not inherit its arrays
-    with _fork_worker() as worker:
-        image = worker.submit(_analyze_plane, readers[Plane.IMAGE].path, Plane.IMAGE, config)
-        ff = _analyze_plane(readers[Plane.FAR_FIELD].path, Plane.FAR_FIELD, config)
-        ip = image.result()
-    planes = (ip, ff)
+    done = _over_planes(_analyze_plane, (Plane.FAR_FIELD, Plane.IMAGE),
+                        {plane: rd.path for plane, rd in readers.items()}, config)
+    ip, ff = planes = (done[Plane.IMAGE], done[Plane.FAR_FIELD])
 
     var_x, var_p = ip.cond_var, ff.cond_var
     product = epr_product(var_x, var_p)
@@ -484,13 +478,8 @@ def analyze(
     )
 
 
-def run(config: RunConfig, out_dir, **analyze_kwargs):
+def run(config: RunConfig, out_dir):
     """simulate + analyze in one call; returns (SimulateResult, AnalysisProducts)."""
     sim = simulate(config, out_dir)
-    products = analyze(
-        sim.stack_paths[Plane.IMAGE.value],
-        sim.stack_paths[Plane.FAR_FIELD.value],
-        config,
-        **analyze_kwargs,
-    )
-    return sim, products
+    paths = sim.stack_paths
+    return sim, analyze(paths[Plane.IMAGE.value], paths[Plane.FAR_FIELD.value], config)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bpcam.emccd import (
     CameraParams,
     Calibration,
+    _StreamHist,
     calibrate,
     calibrate_flux_equivalence,
     dark_occupancy,
@@ -230,9 +231,33 @@ def test_flux_equivalence_k_rises_with_contamination():
 def test_flux_equivalence_validates_target():
     cam = CameraParams(roi=(8, 8))
     darks = make_darks(4, cam)
+    cal = calibrate(darks)
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ParameterError):
-            calibrate_flux_equivalence(darks, bad)
+            calibrate_flux_equivalence(darks, bad, calibration=cal)
+
+
+def test_stream_hist_counts_match_three_masks(rng):
+    """One bincount over clipped indices counts as the under/over/in-range masks do."""
+    lo, hi, nbins = -3.0, 5.0, 16
+    width = (hi - lo) / nbins
+    hist = _StreamHist(lo, hi, nbins)
+    batches = [rng.uniform(-6.0, 8.0, size=(20, 25)),
+               np.array([lo, hi, lo - 1e-9, hi + 1e-9, lo - 400.0, hi + 400.0, lo + width]),
+               rng.normal(1.0, 3.0, size=300)]
+    want = np.zeros(nbins, dtype=np.int64)
+    under = over = 0
+    for values in batches:
+        hist.add(values)
+        idx = np.floor((values.ravel() - lo) / width).astype(np.int64)
+        low, high = idx < 0, idx >= nbins
+        under += int(np.count_nonzero(low))
+        over += int(np.count_nonzero(high))
+        want += np.bincount(idx[~(low | high)], minlength=nbins)
+    np.testing.assert_array_equal(hist.counts, want)
+    assert (hist.under, hist.over) == (under, over)
+    assert under >= 2 and over >= 3
+    assert hist.total == sum(v.size for v in batches)
 
 
 def test_threshold_behaviour():

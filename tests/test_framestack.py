@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from bpcam import KIND_BINARY, KIND_RAW, StackReader, StackWriter
 from bpcam.emccd import Calibration, threshold
 from bpcam.errors import FrameFormatError, ParameterError
-from bpcam.framestack import HEADER_SIZE, PLANE_CODES, RAW_SCALE
+from bpcam.framestack import (
+    HEADER_SIZE,
+    PLANE_DARK,
+    PLANE_FARFIELD,
+    PLANE_IMAGE,
+    RAW_SCALE,
+)
 
 
-def write_stack(path, frames, kind, plane="image", seed=0, digest=b"\x00" * 32):
+def write_stack(path, frames, kind, plane=PLANE_IMAGE, seed=0, digest=b"\x00" * 32):
     with StackWriter(path, kind=kind, plane=plane, shape=frames[0].shape,
                      seed=seed, config_digest=digest) as wr:
         for f in frames:
@@ -24,7 +30,7 @@ def write_stack(path, frames, kind, plane="image", seed=0, digest=b"\x00" * 32):
 def test_binary_roundtrip(tmp_path, rng):
     frames = [rng.random((7, 13)) < 0.3 for _ in range(5)]
     digest = bytes(range(32))
-    rd = write_stack(tmp_path / "s.bpcm", frames, KIND_BINARY, "farfield",
+    rd = write_stack(tmp_path / "s.bpcm", frames, KIND_BINARY, PLANE_FARFIELD,
                      seed=99, digest=digest)
     assert len(rd) == 5
     assert rd.shape == (7, 13)
@@ -38,7 +44,7 @@ def test_binary_roundtrip(tmp_path, rng):
 
 def test_raw_roundtrip_quantises_to_fixed_point(tmp_path, rng):
     frames = [rng.normal(390.0, 6.0, size=(6, 5)) for _ in range(3)]
-    rd = write_stack(tmp_path / "s.bpcm", frames, KIND_RAW, "dark")
+    rd = write_stack(tmp_path / "s.bpcm", frames, KIND_RAW, PLANE_DARK)
     for got, want in zip(rd, frames):
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, atol=0.5 / RAW_SCALE + 1e-12)
@@ -62,7 +68,7 @@ def test_reader_is_reiterable_and_random_access(tmp_path, rng):
 
 def test_frame_count_patched_on_close(tmp_path):
     path = tmp_path / "s.bpcm"
-    wr = StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3))
+    wr = StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3))
     wr.write(np.zeros((3, 3), dtype=bool))
     wr.write(np.ones((3, 3), dtype=bool))
     wr.close()
@@ -73,7 +79,7 @@ def test_frame_count_patched_on_close(tmp_path):
 
 def test_stack_appears_at_its_path_only_when_closed(tmp_path):
     path = tmp_path / "s.bpcm"
-    with StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3)) as wr:
+    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
         wr.write(np.eye(3, dtype=bool))
         assert not path.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["s.bpcm"]
@@ -85,7 +91,7 @@ def test_failed_write_keeps_the_earlier_stack(tmp_path):
     write_stack(path, [np.eye(3, dtype=bool)], KIND_BINARY)
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match="interrupted"):
-        with StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3)) as wr:
+        with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
             wr.write(np.zeros((3, 3), dtype=bool))
             raise RuntimeError("interrupted mid-stack")
     assert path.read_bytes() == before
@@ -94,7 +100,7 @@ def test_failed_write_keeps_the_earlier_stack(tmp_path):
 
 def test_describe_reports_header_fields(tmp_path):
     rd = write_stack(tmp_path / "s.bpcm", [np.zeros((2, 9), dtype=bool)],
-                     KIND_BINARY, "image", seed=5)
+                     KIND_BINARY, PLANE_IMAGE, seed=5)
     info = rd.describe()
     assert info["kind"] == "binary"
     assert info["plane"] == "image"
@@ -107,13 +113,15 @@ def test_describe_reports_header_fields(tmp_path):
 def test_writer_validation(tmp_path):
     path = tmp_path / "s.bpcm"
     with pytest.raises(ParameterError):
-        StackWriter(path, kind=7, plane="image", shape=(3, 3))
+        StackWriter(path, kind=7, plane=PLANE_IMAGE, shape=(3, 3))
     with pytest.raises(ParameterError):
-        StackWriter(path, kind=KIND_BINARY, plane="sideways", shape=(3, 3))
+        StackWriter(path, kind=KIND_BINARY, plane=7, shape=(3, 3))
+    with pytest.raises(ParameterError):  # planes are given by code, not by name
+        StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3))
     with pytest.raises(ParameterError):
-        StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3),
+        StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3),
                     config_digest=b"short")
-    with StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3)) as wr:
+    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
         with pytest.raises(ParameterError):
             wr.write(np.zeros((4, 4), dtype=bool))
 
@@ -153,7 +161,7 @@ def test_writes_threshold_output(tmp_path):
     cal = Calibration(pixel_mean=np.zeros((4, 4)), sigma_noise=1.0,
                       n_frames=2, centre=0.0, clip=(-5.0, 5.0))
     bits = threshold(3.0 * np.eye(4), cal, 2.0)
-    with StackWriter(tmp_path / "s.bpcm", kind=KIND_BINARY, plane="image",
+    with StackWriter(tmp_path / "s.bpcm", kind=KIND_BINARY, plane=PLANE_IMAGE,
                      shape=bits.shape, seed=0, config_digest=b"\x00" * 32) as wr:
         wr.write(bits)
     rd = StackReader(tmp_path / "s.bpcm")
@@ -164,7 +172,8 @@ def test_writes_threshold_output(tmp_path):
     h=st.integers(1, 12),
     w=st.integers(1, 20),
     n=st.integers(1, 4),
-    plane=st.sampled_from(sorted(PLANE_CODES)),
+    plane=st.sampled_from([(PLANE_DARK, "dark"), (PLANE_IMAGE, "image"),
+                           (PLANE_FARFIELD, "farfield")]),
     seed=st.integers(0, 2**64 - 1),
     data=st.data(),
 )
@@ -179,8 +188,9 @@ def test_binary_roundtrip_property(tmp_path_factory, h, w, n, plane, seed, data)
     )
     frames = [np.array(row, dtype=bool).reshape(h, w) for row in bits]
     path = tmp_path_factory.mktemp("fs") / "prop.bpcm"
-    rd = write_stack(path, frames, KIND_BINARY, plane, seed=seed)
+    code, name = plane
+    rd = write_stack(path, frames, KIND_BINARY, code, seed=seed)
     assert rd.seed == seed
-    assert rd.plane_name == plane
+    assert rd.plane_name == name
     for got, want in zip(rd, frames):
         np.testing.assert_array_equal(got, want)

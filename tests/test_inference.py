@@ -305,22 +305,22 @@ def test_axis_dimensionality_rejects_inverted_ordering():
 
 def test_dimensionality_products_and_substitution():
     joints = {"col": synthetic_joint(), "row": synthetic_joint()}
-    est = dimensionality(joints, pitch_um=16.0, extent_px=201,
-                         narrow=Mode.DIFFERENCE)
+    extent = {"col": 201, "row": 201}
+    est = dimensionality(joints, pitch_um=16.0, extent_px=extent, narrow=Mode.DIFFERENCE)
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
     # a narrow fit made beforehand with the same arguments is reused as it is
     narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0, window_px=40)
-    assert dimensionality(joints, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
+    assert dimensionality(joints, pitch_um=16.0, extent_px=extent, narrow=Mode.DIFFERENCE,
                           narrow_fits={"col": narrow}) == est
 
-    sub = dimensionality(joints, pitch_um=16.0, extent_px={"col": 201, "row": 201},
+    sub = dimensionality(joints, pitch_um=16.0, extent_px=extent,
                          narrow=Mode.DIFFERENCE, substitute={"row": "col"})
     assert sub.axes["row"].substituted_from == "col"
     assert sub.axes["row"].d_axis == sub.axes["col"].d_axis
     assert sub.d_total == pytest.approx(sub.axes["col"].d_axis ** 2)
 
     with pytest.raises(ParameterError, match="substitute"):
-        dimensionality({"col": joints["col"]}, pitch_um=16.0, extent_px=201,
+        dimensionality({"col": joints["col"]}, pitch_um=16.0, extent_px={"col": 201},
                        narrow=Mode.DIFFERENCE, substitute={"col": "row"})
 
 
@@ -348,7 +348,7 @@ def synthetic_map(mode, h=61, w=61, sigma=4.0, amplitude=5.0, noise=0.02, seed=0
 @pytest.mark.parametrize("mode", [Mode.DIFFERENCE, Mode.SUM])
 def test_fit_map_width_reads_the_central_cross_section(mode):
     sub = synthetic_map(mode)
-    w = fit_map_width(sub, 16.0, window_px=40)
+    w = fit_map_width(sub, 16.0)
     assert w.sigma_px == pytest.approx(4.0, rel=0.05)
     assert w.sigma_um == pytest.approx(16.0 * math.sqrt(4.0**2 - PIXEL_VAR_PAIR),
                                        rel=0.05)

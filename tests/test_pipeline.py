@@ -376,7 +376,7 @@ def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
 def _truncated_copy(path, out, n_frames):
     """The first `n_frames` frames of a stack, under the same header fields."""
     rd = StackReader(path)
-    with StackWriter(out, kind=rd.kind, plane=rd.plane_name, shape=rd.shape, seed=rd.seed,
+    with StackWriter(out, kind=rd.kind, plane=rd.header.plane, shape=rd.shape, seed=rd.seed,
                      config_digest=rd.config_digest) as wr:
         for i in range(n_frames):
             wr.write(rd.read_frame(i))
