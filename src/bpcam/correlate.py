@@ -112,9 +112,9 @@ class JointDistribution:
     `signal` includes the same-photon (self) pairs, which land on a = b;
     their per-pixel total is `self_counts`, so downstream users can remove
     the artifact exactly (the accidental reference never cancels it).
+    A joint does not name its axis: callers key it by "col" or "row".
     """
 
-    axis: str  # "col" or "row"
     signal: dict  # {Mode: (2W-1,) int64} same-frame ordered pairs
     reference: dict  # {Mode: (2W-1,) int64} adjacent-frame ordered pairs
     self_counts: np.ndarray  # (W,) photons per pixel column/row, summed over frames
@@ -122,10 +122,11 @@ class JointDistribution:
     n_reference_pairs: int
 
 
-def block_joint(axis: str, counts: np.ndarray) -> JointDistribution:
+def block_joint(counts: np.ndarray) -> JointDistribution:
     """Joint pair distribution of the frames whose marginals are the rows of `counts`.
 
-    `counts[i, a]` is the number of photons of frame i in bin a.  float64
+    `counts[i, a]` is the number of photons of frame i in column (or row) a;
+    the result carries no axis name, so the caller keys it.  float64
     sums of integer products are exact below 2**53; einsum keeps them off
     BLAS, whose thread pool would oversubscribe the cores when both planes'
     analyses run at once.  Each W x W product is collapsed at once, so a
@@ -135,7 +136,6 @@ def block_joint(axis: str, counts: np.ndarray) -> JointDistribution:
         raise ParameterError("a joint distribution needs at least 2 frames")
     v = counts.astype(np.float64)
     return JointDistribution(
-        axis=axis,
         signal=pair_histogram(np.einsum("na,nb->ab", v, v)),
         reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:])),
         self_counts=counts.sum(axis=0, dtype=np.int64),
@@ -333,7 +333,7 @@ class StackAccumulator:
 
     def _close_block(self):
         for axis, rows in self._marginals.items():
-            self._blocks[axis].append(block_joint(axis, np.vstack(rows)))
+            self._blocks[axis].append(block_joint(np.vstack(rows)))
             rows.clear()
 
     # -- finalisation --------------------------------------------------------

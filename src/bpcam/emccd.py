@@ -84,11 +84,9 @@ class CameraParams:
 class ExposeStats:
     """Bookkeeping from one exposure (for flux/occupancy accounting)."""
 
-    n_impacts: int = 0
     n_in_roi: int = 0
     n_detected: int = 0
     n_smeared: int = 0
-    n_cic: int = 0
 
 
 def pixel_coords(impacts: np.ndarray, cam: CameraParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,7 +112,7 @@ def expose(
     """
     impacts = np.asarray(impacts, dtype=np.float64).reshape(-1, 2)
     h, w = cam.roi
-    stats = ExposeStats(n_impacts=impacts.shape[0])
+    stats = ExposeStats()
     charge = np.zeros((h, w), dtype=np.float64)
 
     if impacts.shape[0]:
@@ -146,7 +144,6 @@ def expose(
     # P(a pixel sees at least one event) exactly p.
     if cam.cic_prob > 0.0:
         n_cic = int(rng.poisson(-math.log1p(-cam.cic_prob) * h * w))
-        stats.n_cic = n_cic
         if n_cic:
             idx = rng.integers(0, h * w, size=n_cic)
             if cam.gain_dispersion:
@@ -178,9 +175,7 @@ class Calibration:
 
     pixel_mean: np.ndarray  # (H, W) electrons
     sigma_noise: float  # electrons, Gaussian-core width
-    n_frames: int
     centre: float  # global robust centre used for clipping
-    clip: tuple[float, float]  # clipped-mean window
     n_unclipped_fallback: int = 0  # pixels that never fell inside the window
 
 
@@ -315,9 +310,7 @@ def calibrate(frames) -> Calibration:
     return Calibration(
         pixel_mean=pixel_mean,
         sigma_noise=float(sigma),
-        n_frames=n1,
         centre=float(centre),
-        clip=(float(clip_lo), float(clip_hi)),
         n_unclipped_fallback=n_fallback,
     )
 

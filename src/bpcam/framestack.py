@@ -9,15 +9,15 @@ Layout: a fixed 60-byte little-endian header followed by frames back to back.
     7       plane         u8   (0 = dark, 1 = image, 2 = farfield)
     8       width         u32  pixels
     12      height        u32  pixels
-    16      frame_count   u32  (patched on close)
+    16      frame_count   u32  (patched on commit)
     20      seed          u64  master seed the frames came from
     28      config_digest 32s  sha256 of the producing configuration
 
 Raw frames store each pixel as int32 fixed point in units of 1/256 electron
 (row-major).  Binary frames store each row bit-packed MSB-first, padded to a
 whole byte, so one frame is height * ceil(width / 8) bytes.  The writer
-moves a finished stack onto its path only when it closes cleanly, so a
-failed or killed write never leaves a stack there that looks complete.  The
+moves a finished stack onto its path only when it commits, so a failed or
+killed write never leaves a stack there that looks complete.  The
 reader validates the header and that the payload length is a whole number
 of frames; it is cheap to construct and re-iterable (every iteration opens
 its own handle), so it can be streamed twice by calibration passes.
@@ -148,16 +148,16 @@ class AtomicFile:
         return False
 
 
-class StackWriter:
-    """Sequential writer into a sibling temporary file (an `AtomicFile`).
+class StackWriter(AtomicFile):
+    """Sequential writer of a stack file, an `AtomicFile` over `path`.
 
-    `close` (or a `with` block that ends cleanly) patches the frame count
-    into the header and moves the file onto `path`; a `with` block that
-    raises deletes it and leaves any earlier file at `path`.
+    `commit` (or a `with` block that ends cleanly) patches the frame count
+    into the header and moves the file onto `path`; `discard` (or a `with`
+    block that raises) deletes it and leaves any earlier file at `path`.
     """
 
     def __init__(self, path, *, kind: int, plane: int, shape: tuple[int, int],
-                 seed: int = 0, config_digest: bytes = b"\x00" * 32):
+                 seed: int, config_digest: bytes):
         if kind not in _KIND_NAMES:
             raise ParameterError(f"unknown frame kind {kind!r}")
         if plane not in _PLANE_NAMES:
@@ -165,12 +165,10 @@ class StackWriter:
         if len(config_digest) != 32:
             raise ParameterError("config_digest must be exactly 32 bytes")
         h, w = int(shape[0]), int(shape[1])
-        self.path = os.fspath(path)
         self.header = StackHeader(kind, plane, w, h, 0, int(seed), bytes(config_digest))
-        self._n = 0
-        self._file = AtomicFile(self.path, "wb")
-        self._fh = self._file.fh
-        self._fh.write(self.header.pack())
+        self.n_frames = 0
+        super().__init__(path, "wb")
+        self.fh.write(self.header.pack())
 
     def write(self, frame) -> None:
         frame = np.asarray(frame)
@@ -183,40 +181,20 @@ class StackWriter:
         else:
             fixed = np.rint(np.asarray(frame, dtype=np.float64) * RAW_SCALE)
             payload = np.clip(fixed, _I32_MIN, _I32_MAX).astype("<i4").tobytes()
-        self._fh.write(payload)
-        self._n += 1
+        self.fh.write(payload)
+        self.n_frames += 1
 
-    def close(self) -> None:
-        if self._fh is None:
-            return
+    def commit(self) -> None:
         try:
-            self._fh.seek(_FRAME_COUNT_OFFSET)
-            self._fh.write(struct.pack("<I", self._n))
+            self.fh.seek(_FRAME_COUNT_OFFSET)
+            self.fh.write(struct.pack("<I", self.n_frames))
         except BaseException:
-            self._discard()
+            self.discard()
             raise
-        self._fh = None
-        self._file.commit()
-
-    def _discard(self) -> None:
-        if self._fh is None:
-            return
-        self._fh = None
-        self._file.discard()
-
-    @property
-    def n_frames(self) -> int:
-        return self._n
+        super().commit()
 
     def __enter__(self):
         return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self._discard()
-        return False
 
 
 class StackReader:
@@ -254,10 +232,6 @@ class StackReader:
         return self.header.plane_name
 
     @property
-    def seed(self) -> int:
-        return self.header.seed
-
-    @property
     def config_digest(self) -> bytes:
         return self.header.config_digest
 
@@ -281,19 +255,6 @@ class StackReader:
                 if len(buf) != per:
                     raise FrameFormatError(f"{self.path}: truncated mid-frame")
                 yield self._decode(buf)
-
-    def read_frame(self, index: int) -> np.ndarray:
-        if not (0 <= index < self.header.frame_count):
-            raise ParameterError(
-                f"frame index {index} out of range [0, {self.header.frame_count})"
-            )
-        per = self.header.frame_nbytes
-        with open(self.path, "rb") as fh:
-            fh.seek(HEADER_SIZE + index * per)
-            buf = fh.read(per)
-        if len(buf) != per:
-            raise FrameFormatError(f"{self.path}: truncated mid-frame")
-        return self._decode(buf)
 
     def describe(self) -> dict:
         h = self.header

@@ -37,9 +37,6 @@ from .errors import AnalysisError, FitFailureError, ParameterError
 #: variance added to a pair coordinate (sum or difference of two binned values)
 PIXEL_VAR_PAIR = 1.0 / 6.0
 
-#: minimum peak significance on both planes before an EPR flag is credible
-SNR_GATE = 5.0
-
 #: narrow peaks are fitted within this many pixels of their highest bin
 NARROW_WINDOW_PX = 40
 
@@ -527,7 +524,6 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
     if not parts:
         raise ParameterError("no joint blocks to combine")
     return JointDistribution(
-        axis=parts[0].axis,
         signal={m: sum(p.signal[m] for p in parts) for m in parts[0].signal},
         reference={m: sum(p.reference[m] for p in parts) for m in parts[0].reference},
         self_counts=sum(p.self_counts for p in parts),

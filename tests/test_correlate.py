@@ -244,13 +244,12 @@ def test_joint_distribution_matches_marginal_products(rng):
     rows = np.array([f.sum(axis=1) for f in frames])
     for axis, counts in (("col", cols), ("row", rows)):
         first, second = res.blocks[axis]
-        assert first.axis == second.axis == axis
         assert_joint_equals_brute_force(first, counts[:2])
         assert_joint_equals_brute_force(second, counts[2:])
     assert res.blocks["col"][1].n_frames == 3
 
     with pytest.raises(ParameterError):
-        block_joint("col", cols[2:3])  # single frame
+        block_joint(cols[2:3])  # single frame
     for edges in ((0, 1, 5), (1, 5), (0, 3, 2), (0,)):
         with pytest.raises(ParameterError, match="block edges"):
             StackAccumulator((6, 7), Mode.DIFFERENCE, block_edges=edges)
@@ -311,7 +310,7 @@ def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
     edges = make_blocks(n, 10)
     assert len(set(np.diff(edges))) == 2
     for lo, hi in [(0, n), *zip(edges[:-1], edges[1:])]:
-        assert_joint_equals_brute_force(block_joint("col", counts[lo:hi]), counts[lo:hi])
+        assert_joint_equals_brute_force(block_joint(counts[lo:hi]), counts[lo:hi])
 
 
 def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
@@ -321,7 +320,7 @@ def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
     counts = rng.poisson(8.0, size=(40, w)).astype(np.int32)
     edges = make_blocks(len(counts), 10)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        blk = block_joint("col", counts[lo:hi])
+        blk = block_joint(counts[lo:hi])
         arrays = [*blk.signal.values(), *blk.reference.values(), blk.self_counts]
         assert all(a.ndim == 1 for a in arrays)
         assert sum(a.size for a in arrays) == 4 * (2 * w - 1) + w
@@ -398,7 +397,7 @@ def test_joint_excess_removes_self_pairs(rng):
     counts = np.zeros((n, w), dtype=np.int32)
     cols = rng.integers(0, w, size=n)
     counts[np.arange(n), cols] = 1
-    joint = block_joint("col", counts)
+    joint = block_joint(counts)
 
     def kept(mode):  # the excess with the self-pairs left in
         return joint.signal[mode] / n - joint.reference[mode] / (n - 1)

@@ -18,8 +18,12 @@ from bpcam.framestack import (
     RAW_SCALE,
 )
 
+NO_DIGEST = b"\x00" * 32
+#: header fields of the small hand-made stacks below
+ANON = dict(seed=0, config_digest=NO_DIGEST)
 
-def write_stack(path, frames, kind, plane=PLANE_IMAGE, seed=0, digest=b"\x00" * 32):
+
+def write_stack(path, frames, kind, plane=PLANE_IMAGE, seed=0, digest=NO_DIGEST):
     with StackWriter(path, kind=kind, plane=plane, shape=frames[0].shape,
                      seed=seed, config_digest=digest) as wr:
         for f in frames:
@@ -35,7 +39,7 @@ def test_binary_roundtrip(tmp_path, rng):
     assert len(rd) == 5
     assert rd.shape == (7, 13)
     assert rd.plane_name == "farfield"
-    assert rd.seed == 99
+    assert rd.header.seed == 99
     assert rd.config_digest == digest
     for got, want in zip(rd, frames):
         assert got.dtype == np.bool_
@@ -52,34 +56,35 @@ def test_raw_roundtrip_quantises_to_fixed_point(tmp_path, rng):
         assert np.all(got * RAW_SCALE == np.rint(got * RAW_SCALE))
 
 
-def test_reader_is_reiterable_and_random_access(tmp_path, rng):
+def test_reader_is_reiterable(tmp_path, rng):
     frames = [rng.random((4, 11)) < 0.5 for _ in range(6)]
     rd = write_stack(tmp_path / "s.bpcm", frames, KIND_BINARY)
     first = [f.copy() for f in rd]
     second = list(rd)  # fresh handle, same contents
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(rd.read_frame(3), frames[3])
-    with pytest.raises(ParameterError):
-        rd.read_frame(6)
-    with pytest.raises(ParameterError):
-        rd.read_frame(-1)
+    assert len(first) == len(second) == len(frames)
+    for a, b, want in zip(first, second, frames):
+        np.testing.assert_array_equal(a, want)
+        np.testing.assert_array_equal(b, want)
 
 
 def test_frame_count_patched_on_close(tmp_path):
     path = tmp_path / "s.bpcm"
-    wr = StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3))
+    wr = StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON)
     wr.write(np.zeros((3, 3), dtype=bool))
     wr.write(np.ones((3, 3), dtype=bool))
-    wr.close()
-    wr.close()  # idempotent
+    wr.commit()
     assert wr.n_frames == 2
     assert len(StackReader(path)) == 2
+    committed = path.read_bytes()
+    with pytest.raises(ValueError):  # the handle is closed: a stack commits once
+        wr.commit()
+    assert path.read_bytes() == committed
+    assert [p.name for p in tmp_path.iterdir()] == ["s.bpcm"]
 
 
 def test_stack_appears_at_its_path_only_when_closed(tmp_path):
     path = tmp_path / "s.bpcm"
-    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
+    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON) as wr:
         wr.write(np.eye(3, dtype=bool))
         assert not path.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["s.bpcm"]
@@ -91,7 +96,7 @@ def test_failed_write_keeps_the_earlier_stack(tmp_path):
     write_stack(path, [np.eye(3, dtype=bool)], KIND_BINARY)
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match="interrupted"):
-        with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
+        with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON) as wr:
             wr.write(np.zeros((3, 3), dtype=bool))
             raise RuntimeError("interrupted mid-stack")
     assert path.read_bytes() == before
@@ -113,15 +118,15 @@ def test_describe_reports_header_fields(tmp_path):
 def test_writer_validation(tmp_path):
     path = tmp_path / "s.bpcm"
     with pytest.raises(ParameterError):
-        StackWriter(path, kind=7, plane=PLANE_IMAGE, shape=(3, 3))
+        StackWriter(path, kind=7, plane=PLANE_IMAGE, shape=(3, 3), **ANON)
     with pytest.raises(ParameterError):
-        StackWriter(path, kind=KIND_BINARY, plane=7, shape=(3, 3))
+        StackWriter(path, kind=KIND_BINARY, plane=7, shape=(3, 3), **ANON)
     with pytest.raises(ParameterError):  # planes are given by code, not by name
-        StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3))
+        StackWriter(path, kind=KIND_BINARY, plane="image", shape=(3, 3), **ANON)
     with pytest.raises(ParameterError):
         StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3),
-                    config_digest=b"short")
-    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3)) as wr:
+                    seed=0, config_digest=b"short")
+    with StackWriter(path, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON) as wr:
         with pytest.raises(ParameterError):
             wr.write(np.zeros((4, 4), dtype=bool))
 
@@ -158,14 +163,13 @@ def test_header_corruption_detected(tmp_path):
 
 def test_writes_threshold_output(tmp_path):
     # `threshold` returns the bool array itself, which a binary stack stores
-    cal = Calibration(pixel_mean=np.zeros((4, 4)), sigma_noise=1.0,
-                      n_frames=2, centre=0.0, clip=(-5.0, 5.0))
+    cal = Calibration(pixel_mean=np.zeros((4, 4)), sigma_noise=1.0, centre=0.0)
     bits = threshold(3.0 * np.eye(4), cal, 2.0)
     with StackWriter(tmp_path / "s.bpcm", kind=KIND_BINARY, plane=PLANE_IMAGE,
-                     shape=bits.shape, seed=0, config_digest=b"\x00" * 32) as wr:
+                     shape=bits.shape, **ANON) as wr:
         wr.write(bits)
     rd = StackReader(tmp_path / "s.bpcm")
-    np.testing.assert_array_equal(rd.read_frame(0), np.eye(4, dtype=bool))
+    np.testing.assert_array_equal(next(iter(rd)), np.eye(4, dtype=bool))
 
 
 @given(
@@ -190,7 +194,7 @@ def test_binary_roundtrip_property(tmp_path_factory, h, w, n, plane, seed, data)
     path = tmp_path_factory.mktemp("fs") / "prop.bpcm"
     code, name = plane
     rd = write_stack(path, frames, KIND_BINARY, code, seed=seed)
-    assert rd.seed == seed
+    assert rd.header.seed == seed
     assert rd.plane_name == name
     for got, want in zip(rd, frames):
         np.testing.assert_array_equal(got, want)

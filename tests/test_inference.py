@@ -228,7 +228,6 @@ def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0):
     density = density * np.exp(-0.5 * ((a + b - centre) / (2.0 * sigma_broad)) ** 2)
     counts = np.rint(scale * density).astype(np.int64)
     return JointDistribution(
-        axis="col",
         signal=pair_histogram(counts),
         reference=pair_histogram(np.zeros((w, w), dtype=np.int64)),
         self_counts=np.zeros(w, dtype=np.int64),
@@ -360,7 +359,7 @@ def poisson_blocks(n_frames=40, n_blocks=10, w=15, lam=3.0, seed=5):
     """{"col": block joints} of Poisson marginals, cut on `make_blocks`' edges."""
     counts = np.random.default_rng(seed).poisson(lam, size=(n_frames, w)).astype(np.int32)
     edges = make_blocks(n_frames, n_blocks)
-    return {"col": [block_joint("col", counts[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]}
+    return {"col": [block_joint(counts[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]}
 
 
 def test_blocks_pool_back_to_the_full_joint():

@@ -1,6 +1,7 @@
 """End-to-end simulate/analyze wiring on a reduced but honest acquisition."""
 
 import importlib.util
+import itertools
 import json
 import multiprocessing
 import os
@@ -14,8 +15,8 @@ import pytest
 from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, inference, pipeline
 from bpcam.correlate import Mode, StackAccumulator, subtract
 from bpcam.errors import ConsistencyError, ParameterError
-from bpcam.framestack import KIND_BINARY, KIND_RAW
-from bpcam.pipeline import analyze, simulate
+from bpcam.framestack import KIND_BINARY, KIND_RAW, PLANE_IMAGE
+from bpcam.pipeline import _STALE_TMP, analyze, simulate
 from bpcam.report import write_report
 
 TINY = dict(roi_height=41, roi_width=41, n_frames=6, n_dark_frames=20,
@@ -318,6 +319,16 @@ def test_simulate_removes_stale_temporary_stacks(tmp_path):
     assert len(StackReader(out / "image.bpcm")) == cfg.n_frames
 
 
+@pytest.mark.parametrize("name", ["dark.bpcm", "image.bpcm", "farfield.bpcm"])
+def test_stale_sweep_matches_the_writers_temporary_files(tmp_path, name):
+    # the sweep's pattern and the writer's temporary name must not drift apart
+    wr = StackWriter(tmp_path / name, kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3),
+                     seed=0, config_digest=b"\x00" * 32)
+    assert _STALE_TMP.fullmatch(Path(wr.tmp_path).name)
+    wr.discard()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pinned_threshold_skips_calibrated_k(tmp_path):
     cfg = RunConfig().replace(**TINY, threshold_k=3.5)
     sim = simulate(cfg, tmp_path, planes=(Plane.IMAGE,))
@@ -376,10 +387,10 @@ def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
 def _truncated_copy(path, out, n_frames):
     """The first `n_frames` frames of a stack, under the same header fields."""
     rd = StackReader(path)
-    with StackWriter(out, kind=rd.kind, plane=rd.header.plane, shape=rd.shape, seed=rd.seed,
-                     config_digest=rd.config_digest) as wr:
-        for i in range(n_frames):
-            wr.write(rd.read_frame(i))
+    with StackWriter(out, kind=rd.kind, plane=rd.header.plane, shape=rd.shape,
+                     seed=rd.header.seed, config_digest=rd.config_digest) as wr:
+        for frame in itertools.islice(rd, n_frames):
+            wr.write(frame)
     return out
 
 
