@@ -81,25 +81,19 @@ class CorrelationMap:
     n_reference_pairs: int  # number of adjacent-frame pairs = n_frames - 1
     roi: tuple[int, int]
 
-    @property
-    def row_axis(self) -> np.ndarray:
-        return pair_axis(self.roi[0], self.mode)
-
-    @property
-    def col_axis(self) -> np.ndarray:
-        return pair_axis(self.roi[1], self.mode)
-
 
 @dataclass
 class SubtractedMap:
-    """signal/N - reference/(N-1), with contaminated bins masked out."""
+    """signal/N - reference/(N-1), with contaminated bins masked out.
+
+    Bin [i, j] sits at pair coordinate (pair_axis(H, mode)[i],
+    pair_axis(W, mode)[j]), with (H, W) = `roi`.
+    """
 
     mode: Mode
     values: np.ndarray  # (2H-1, 2W-1) float64, per-frame pair excess
     mask: np.ndarray  # bool, True where a bin is excluded from fits/statistics
     roi: tuple[int, int]
-    row_axis: np.ndarray
-    col_axis: np.ndarray
 
 
 @dataclass
@@ -393,31 +387,26 @@ class StackAccumulator:
 # ---------------------------------------------------------------------------
 # subtraction and map statistics
 
-def default_mask(mode: Mode, roi: tuple[int, int], mask_smear_rows: bool = False) -> np.ndarray:
-    """Bins excluded from fits: the self-pair centre and charge-smear offsets.
+def subtract(cmap: CorrelationMap, mask_smear_rows: bool = False) -> SubtractedMap:
+    """Per-frame pair excess signal/N - reference/(N-1), with contaminated bins masked.
 
     On the difference map all self-pairs land on (0, 0), always masked, and
-    vertical smear copies land on (dr = +/-1, dc = 0); neither is cancelled
-    by the adjacent-frame reference.  Sum maps spread both artifacts over
-    broad ridges instead of single bins, so nothing is masked there.
+    vertical smear copies land on (dr = +/-1, dc = 0), masked when
+    `mask_smear_rows`; neither is cancelled by the adjacent-frame reference.
+    Sum maps spread both artifacts over broad ridges instead of single bins,
+    so nothing is masked there.
     """
-    h, w = roi
-    mask = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    if mode is Mode.DIFFERENCE:
+    if cmap.n_frames < 2 or cmap.n_reference_pairs < 1:
+        raise ParameterError("subtraction needs at least 2 frames")
+    values = cmap.signal / cmap.n_frames - cmap.reference / cmap.n_reference_pairs
+    h, w = cmap.roi
+    mask = np.zeros(values.shape, dtype=bool)
+    if cmap.mode is Mode.DIFFERENCE:
         mask[h - 1, w - 1] = True
         if mask_smear_rows:
             mask[h - 2, w - 1] = True
             mask[h, w - 1] = True
-    return mask
-
-
-def subtract(cmap: CorrelationMap, mask_smear_rows: bool = False) -> SubtractedMap:
-    """Per-frame pair excess signal/N - reference/(N-1), masked by `default_mask`."""
-    if cmap.n_frames < 2 or cmap.n_reference_pairs < 1:
-        raise ParameterError("subtraction needs at least 2 frames")
-    values = cmap.signal / cmap.n_frames - cmap.reference / cmap.n_reference_pairs
-    return SubtractedMap(cmap.mode, values, default_mask(cmap.mode, cmap.roi, mask_smear_rows),
-                         cmap.roi, cmap.row_axis, cmap.col_axis)
+    return SubtractedMap(cmap.mode, values, mask, cmap.roi)
 
 
 @dataclass

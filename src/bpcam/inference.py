@@ -31,6 +31,7 @@ from .correlate import (
     Mode,
     SubtractedMap,
     joint_excess_histogram,
+    pair_axis,
 )
 from .errors import AnalysisError, FitFailureError, ParameterError
 
@@ -179,9 +180,6 @@ class GaussianFit:
     shade: float = 0.0
     nfev: int = 0  # model evaluations the fit took
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _moment_start(x: np.ndarray, y: np.ndarray, fix_offset: float | None):
     """Moment-based (amplitude, centre, sigma, offset) starting point."""
@@ -286,18 +284,26 @@ class WidthEstimate:
     """A fitted transverse width, pixel-binning removed."""
 
     sigma_um: float
-    sigma_px: float  # raw fitted width, pixel units
-    pixel_var_px2: float
     fit: GaussianFit
 
 
-def deconvolved_width(fit: GaussianFit, pitch_um: float, pixel_var_px2: float) -> WidthEstimate:
-    var = fit.sigma ** 2 - pixel_var_px2
+def deconvolved_width(fit: GaussianFit, pitch_um: float) -> WidthEstimate:
+    """`fit`'s width in um with the PIXEL_VAR_PAIR of pixel binning removed."""
+    var = fit.sigma ** 2 - PIXEL_VAR_PAIR
     if var <= 0.0:
         raise AnalysisError(
             f"fitted width {fit.sigma:.3g} px is below the pixel-binning floor"
         )
-    return WidthEstimate(math.sqrt(var) * pitch_um, fit.sigma, pixel_var_px2, fit)
+    return WidthEstimate(math.sqrt(var) * pitch_um, fit)
+
+
+def _width_near_peak(x, y, mask, pitch_um: float,
+                     fix_offset: float | None = None) -> WidthEstimate:
+    """Gaussian width fitted within NARROW_WINDOW_PX of the highest unmasked bin."""
+    peak = x[np.argmax(np.where(mask, -np.inf, y))]
+    keep = np.abs(x - peak) <= NARROW_WINDOW_PX
+    fit = fit_gaussian(x[keep], y[keep], mask=mask[keep], fix_offset=fix_offset)
+    return deconvolved_width(fit, pitch_um)
 
 
 def central_cross_section(sub: SubtractedMap):
@@ -306,55 +312,49 @@ def central_cross_section(sub: SubtractedMap):
     A difference map gives its dr = 0 row: vertical charge smear displaces
     rows only, so this row is smear-free, and the self-pair bin at zero
     offset arrives already masked.  A sum map gives row 2 (H // 2), the
-    row-sum bin of the doubled centre.
+    row-sum bin of the doubled centre.  The offsets are the map's column
+    `pair_axis`.
     """
-    h = sub.roi[0]
+    h, w = sub.roi
     row = h - 1 if sub.mode is Mode.DIFFERENCE else 2 * (h // 2)
-    return sub.col_axis.astype(float), sub.values[row], sub.mask[row]
+    return pair_axis(w, sub.mode).astype(float), sub.values[row], sub.mask[row]
 
 
 def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
     """Correlation width from the central cross-section of a subtracted map,
     fitted within NARROW_WINDOW_PX of its highest unmasked bin."""
-    x, y, m = central_cross_section(sub)
-    peak = x[np.argmax(np.where(m, -np.inf, y))]
-    keep = np.abs(x - peak) <= NARROW_WINDOW_PX
-    x, y, m = x[keep], y[keep], m[keep]
-    fit = fit_gaussian(x, y, mask=m)
-    return deconvolved_width(fit, pitch_um, PIXEL_VAR_PAIR)
+    return _width_near_peak(*central_cross_section(sub), pitch_um)
 
 
 def fit_joint_width(
     joint: JointDistribution,
     mode: Mode,
     pitch_um: float,
-    window_px: int | None = None,
-    shaded: bool = False,
+    broad: bool = False,
 ) -> WidthEstimate:
     """Width of the 1-D pair-coordinate excess derived from a joint distribution.
 
-    Self-pairs are removed exactly.  In DIFFERENCE mode the zero-offset bin
-    is also excluded: a binary pixel cannot fire twice in one frame, so the
-    within-frame distinct-pair count at zero column offset falls short of
-    the cross-frame accidental estimate by the summed squared pixel
-    occupancy — a deficit comparable to (far field) or larger than (image
-    plane) the genuine peak.  The baseline is held at zero: accidentals are
-    already subtracted, so any residual offset is noise, and freeing it
-    would make fits of peaks wider than the window degenerate.  `shaded`
-    applies the binary-pixel saturation model of `shaded_gaussian`; use it
-    for broad domes, whose centres sit where the light (and hence the
-    chance a pixel is already lit) is densest.
+    A narrow peak (the default) is fitted with a plain Gaussian within
+    NARROW_WINDOW_PX of its highest bin.  A `broad` dome is fitted over the
+    whole axis with the saturation model of `shaded_gaussian`: its centre
+    sits where the light (and hence the chance a pixel is already lit) is
+    densest.  Self-pairs are removed exactly.  In DIFFERENCE mode the
+    zero-offset bin is also excluded: a binary pixel cannot fire twice in
+    one frame, so the within-frame distinct-pair count at zero column
+    offset falls short of the cross-frame accidental estimate by the summed
+    squared pixel occupancy — a deficit comparable to (far field) or larger
+    than (image plane) the genuine peak.  The baseline is held at zero:
+    accidentals are already subtracted, so any residual offset is noise,
+    and freeing it would make fits of peaks wider than the window
+    degenerate.
     """
     axis, hist = joint_excess_histogram(joint, mode)
     mask = (axis == 0) if mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
     x = axis.astype(float)
-    if window_px is not None:
-        masked_vals = np.where(mask, -np.inf, hist)
-        peak = x[np.argmax(masked_vals)]
-        keep = np.abs(x - peak) <= window_px
-        x, hist, mask = x[keep], hist[keep], mask[keep]
-    fit = fit_gaussian(x, hist, mask=mask, fix_offset=0.0, shaded=shaded)
-    return deconvolved_width(fit, pitch_um, PIXEL_VAR_PAIR)
+    if not broad:
+        return _width_near_peak(x, hist, mask, pitch_um, fix_offset=0.0)
+    return deconvolved_width(fit_gaussian(x, hist, mask=mask, fix_offset=0.0, shaded=True),
+                             pitch_um)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,7 @@ class InferredVariance:
     """
 
     variance: float  # physical units, set by `scale`
-    variance_det_um2: float  # detector-plane um^2, binning removed
-    width: WidthEstimate
+    width: WidthEstimate  # its sigma_um ** 2 is the detector-plane variance
 
 
 def inferred_variance(
@@ -392,13 +391,8 @@ def inferred_variance(
     um^2) and mode=SUM with scale = k/f on a far field (momentum variance in
     units of hbar^2/um^2).
     """
-    width = fit_joint_width(joint, mode, pitch_um, window_px=NARROW_WINDOW_PX)
-    det_var = width.sigma_um ** 2
-    return InferredVariance(
-        variance=det_var * scale ** 2,
-        variance_det_um2=det_var,
-        width=width,
-    )
+    width = fit_joint_width(joint, mode, pitch_um)
+    return InferredVariance(variance=width.sigma_um ** 2 * scale ** 2, width=width)
 
 
 def epr_product(var_x_um2: float, var_p_hbar2_per_um2: float) -> float:
@@ -430,7 +424,6 @@ def axis_dimensionality(
     joint: JointDistribution,
     *,
     pitch_um: float,
-    extent_px: float,
     narrow: Mode,
     narrow_fit: WidthEstimate | None = None,
 ) -> AxisDimensionality:
@@ -441,31 +434,34 @@ def axis_dimensionality(
     peak (DIFFERENCE for correlated positions, SUM for anti-correlated
     momenta); it is fitted within NARROW_WINDOW_PX of its peak, because a
     few-pixel spike on a few-hundred-bin domain leaves moment-based starting
-    values at the mercy of the subtraction noise.  The broad dome is fitted
-    with the saturation-corrected model (`shaded_gaussian`): its centre
-    coincides with the occupancy maximum, so a plain Gaussian reads the
-    flattened top as extra width.  The narrow peak needs no such correction — occupancy
-    is constant across a few-pixel window and only rescales the amplitude.
+    values at the mercy of the subtraction noise.  The other coordinate is
+    fitted as a `broad` dome with the saturation-corrected model
+    (`shaded_gaussian`): its centre coincides with the occupancy maximum, so
+    a plain Gaussian reads the flattened top as extra width.  The narrow peak
+    needs no such correction — occupancy is constant across a few-pixel
+    window and only rescales the amplitude.
     The marginal single-photon width follows from the exact decomposition
     Var(x1) = (Var(x1+x2) + Var(x1-x2)) / 4, and the coverage factor
     erf(extent / (2 sqrt(2) sigma_marginal)) is the probability that a
-    photon from the broad marginal lands on the sensor at all.
+    photon from the broad marginal lands on the sensor at all; the extent
+    is the joint's own pixel count.
     `narrow_fit` passes in a narrow-peak fit the caller already made with
     the same arguments, so it is not repeated.
     """
     broad_mode = Mode.SUM if narrow is Mode.DIFFERENCE else Mode.DIFFERENCE
-    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um, window_px=NARROW_WINDOW_PX)
-    wb = fit_joint_width(joint, broad_mode, pitch_um, window_px=None, shaded=True)
+    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um)
+    wb = fit_joint_width(joint, broad_mode, pitch_um, broad=True)
     # widths as detected (no binning deconvolution): the mode count describes
     # what the camera jointly resolves, and pixelation is part of that.
-    narrow_um = wn.sigma_px * pitch_um
-    broad_um = wb.sigma_px * pitch_um
+    narrow_um = wn.fit.sigma * pitch_um
+    broad_um = wb.fit.sigma * pitch_um
     if broad_um <= narrow_um:
         raise AnalysisError(
             "width ordering inverted: the coordinate expected to be narrow "
             f"fitted {narrow_um:.3g} um against {broad_um:.3g} um"
         )
     sigma_marg_um = 0.5 * math.sqrt(narrow_um ** 2 + broad_um ** 2)
+    extent_px = joint.self_counts.size
     coverage = math.erf(extent_px * pitch_um / (2.0 * math.sqrt(2.0) * sigma_marg_um))
     ratio = broad_um / narrow_um
     return AxisDimensionality(
@@ -482,38 +478,24 @@ def dimensionality(
     joints: dict,
     *,
     pitch_um: float,
-    extent_px: dict,
     narrow: Mode,
-    substitute: dict | None = None,
-    narrow_fits: dict | None = None,
+    smeared: bool,
+    narrow_fit: WidthEstimate | None,
 ) -> DimensionalityEstimate:
-    """Total mode count as the product of per-axis estimates.
+    """Total mode count as the product of the column and row estimates.
 
-    `extent_px` maps each axis of `joints` to the sensor extent along it,
-    in pixels.  `substitute` maps an axis to another whose estimate it
-    should reuse, e.g. {"row": "col"} on an image plane where vertical
-    charge smear contaminates the row statistics.
-    `narrow_fits` maps an axis to the `narrow_fit` its `axis_dimensionality`
-    reuses.
+    `joints` holds the "col" and "row" joints.  On a `smeared` plane, where
+    vertical charge smear contaminates the row statistics, the row reuses
+    the column's estimate and its row joint is not read.  `narrow_fit` is
+    the column's `narrow_fit` for `axis_dimensionality`, or None.
     """
-    substitute = substitute or {}
-    narrow_fits = narrow_fits or {}
-    axes: dict[str, AxisDimensionality] = {}
-    for axis, joint in joints.items():
-        if axis in substitute:
-            continue
-        axes[axis] = axis_dimensionality(
-            joint, pitch_um=pitch_um, extent_px=extent_px[axis], narrow=narrow,
-            narrow_fit=narrow_fits.get(axis),
-        )
-    for axis, source in substitute.items():
-        if source not in axes:
-            raise ParameterError(f"substitute source {source!r} was not analysed")
-        axes[axis] = replace(axes[source], substituted_from=source)
-    d_total = 1.0
-    for ax in axes.values():
-        d_total *= ax.d_axis
-    return DimensionalityEstimate(d_total=d_total, axes=axes)
+    col = axis_dimensionality(joints["col"], pitch_um=pitch_um, narrow=narrow,
+                              narrow_fit=narrow_fit)
+    if smeared:
+        row = replace(col, substituted_from="col")
+    else:
+        row = axis_dimensionality(joints["row"], pitch_um=pitch_um, narrow=narrow)
+    return DimensionalityEstimate(d_total=col.d_axis * row.d_axis, axes={"col": col, "row": row})
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,6 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     coord, var, var_key = _PLANE_NAMES[plane]
     name = plane.value
     pitch = config.pixel_pitch
-    h, w = config.roi
     # Vertical charge smear contaminates only the image plane's row axis.
     # Column-axis joints stay clean under it: a daughter keeps its parent's
     # column, so parent/daughter duplicates land only on the always-masked
@@ -319,7 +318,7 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
                  lambda: fit_map_width(sub, pitch))
     if width:
         records["map fit"] = (f"sigma_{coord}_fit",
-                              {"sigma_px": width.sigma_px, **width.fit.as_dict()})
+                              {"sigma_px": width.fit.sigma, **asdict(width.fit)})
     snr = _try("peak snr", f"{name} peak snr", lambda: peak_snr(sub))
     if snr:
         records["peak snr"] = (f"snr_{coord}", asdict(snr))
@@ -333,9 +332,8 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
 
     def fit_dimensionality(joints, cond_var):
         # the column's narrow fit is the inferred variance's, made with the same arguments
-        return dimensionality(joints, pitch_um=pitch, extent_px={"col": w, "row": h},
-                              narrow=mode, substitute={"row": "col"} if smeared else None,
-                              narrow_fits={"col": cond_var.width} if cond_var else None)
+        return dimensionality(joints, pitch_um=pitch, narrow=mode, smeared=smeared,
+                              narrow_fit=cond_var.width if cond_var else None)
 
     def statistic(joints):
         cond_var = fit_variance(joints)
@@ -346,9 +344,9 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
                     lambda: fit_variance(joints))
     if cond_var:
         records["inferred variance"] = (f"cond_var_{var}", {
-            "variance_det_um2": cond_var.variance_det_um2,
-            "sigma_px": cond_var.width.sigma_px,
-            **cond_var.width.fit.as_dict(),
+            "variance_det_um2": cond_var.width.sigma_um ** 2,
+            "sigma_px": cond_var.width.fit.sigma,
+            **asdict(cond_var.width.fit),
         })
     dims = _try("dimensionality", f"{name} dimensionality",
                 lambda: fit_dimensionality(joints, cond_var))
@@ -442,6 +440,8 @@ def analyze(
     # step by step, the image plane first
     steps = [step for step in _STEPS if boot or step != "bootstrap"]
     warnings = [p.warnings[step] for step in steps for p in planes if step in p.warnings]
+    if ip.n_frames != ff.n_frames:
+        warnings.insert(0, f"frame counts differ: image {ip.n_frames}, farfield {ff.n_frames}")
     detail = {"warnings": list(warnings)}
     detail.update(p.records[step] for step in steps for p in planes if step in p.records)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from pathlib import Path
@@ -81,13 +80,13 @@ def format_report(report) -> str:
 
 
 def write_report(report, out_dir) -> dict:
-    """Write report.json and report.txt; returns the paths."""
+    """Write an `EprReport` to report.json and report.txt; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     txt_path = out / "report.txt"
     with AtomicFile(json_path, encoding="utf-8") as fh:
-        fh.write(report.to_json() if hasattr(report, "to_json") else json.dumps(report, indent=2))
+        fh.write(report.to_json())
         fh.write("\n")
     with AtomicFile(txt_path, encoding="utf-8") as fh:
         fh.write(format_report(report))
@@ -96,15 +95,10 @@ def write_report(report, out_dir) -> dict:
 
 
 def write_cross_section_csv(sub: SubtractedMap, path, pitch_um: float) -> str:
-    """One map's central cross-section, the row its width fit reads, as CSV.
-
-    The header row is always written; an empty map yields a header-only file.
-    """
+    """One map's central cross-section, the row its width fit reads, as CSV."""
     with AtomicFile(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coordinate_px", "coordinate_um", "excess_per_frame", "masked"])
-        if sub.values.size == 0:
-            return os.fspath(path)
         axis, values, mask = central_cross_section(sub)
         for x, v, m in zip(axis, values, mask):
             writer.writerow([int(x), float(x) * pitch_um, repr(float(v)), int(bool(m))])

@@ -228,8 +228,8 @@ def test_axes_and_marginals(rng):
     axes = {Mode.DIFFERENCE: (range(-4, 5), range(-7, 8)), Mode.SUM: (range(0, 9), range(0, 15))}
     for mode, (rows, cols) in axes.items():
         res = run_accumulator(frames, mode)
-        assert res.map.row_axis.tolist() == list(rows)
-        assert res.map.col_axis.tolist() == list(cols)
+        assert pair_axis(res.map.roi[0], mode).tolist() == list(rows)
+        assert pair_axis(res.map.roi[1], mode).tolist() == list(cols)
         # without block edges the whole stack is one block per axis
         assert [len(b) for b in res.blocks.values()] == [1, 1]
         for axis, sum_over in (("col", 0), ("row", 1)):

@@ -207,14 +207,14 @@ def test_deconvolved_width_removes_pixel_variance(rng):
     x = np.arange(-30.0, 31.0)
     y = noisy_gaussian(x, 5.0, 0.0, 3.0, 0.0, 0.01, rng)
     fit = fit_gaussian(x, y, fix_offset=0.0)
-    w = deconvolved_width(fit, 16.0, PIXEL_VAR_PAIR)
-    assert w.sigma_px == fit.sigma
+    w = deconvolved_width(fit, 16.0)
+    assert w.fit is fit
     assert w.sigma_um == pytest.approx(
         16.0 * math.sqrt(fit.sigma**2 - PIXEL_VAR_PAIR), rel=1e-12
     )
     narrow = fit_gaussian(x, gaussian(x, 5.0, 0.0, 0.3, 0.0), fix_offset=0.0)
     with pytest.raises(AnalysisError, match="below the pixel-binning floor"):
-        deconvolved_width(narrow, 16.0, PIXEL_VAR_PAIR)
+        deconvolved_width(narrow, 16.0)
 
 
 # -- synthetic joint distributions ------------------------------------------------
@@ -238,9 +238,9 @@ def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0):
 
 def test_fit_joint_width_difference():
     joint = synthetic_joint()
-    w = fit_joint_width(joint, Mode.DIFFERENCE, 16.0, window_px=40)
-    assert w.sigma_px == pytest.approx(3.0, rel=0.02)
-    assert w.sigma_um == pytest.approx(16.0 * math.sqrt(w.sigma_px**2 - PIXEL_VAR_PAIR))
+    w = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
+    assert w.fit.sigma == pytest.approx(3.0, rel=0.02)
+    assert w.sigma_um == pytest.approx(16.0 * math.sqrt(w.fit.sigma**2 - PIXEL_VAR_PAIR))
 
 
 def test_fit_joint_width_ignores_the_zero_offset_bin():
@@ -248,24 +248,23 @@ def test_fit_joint_width_ignores_the_zero_offset_bin():
     joint = synthetic_joint()
     crippled = synthetic_joint()
     crippled.signal[Mode.DIFFERENCE][200] = 0  # kill every b - a = 0 count (W = 201)
-    a = fit_joint_width(joint, Mode.DIFFERENCE, 16.0, window_px=40)
-    b = fit_joint_width(crippled, Mode.DIFFERENCE, 16.0, window_px=40)
-    assert b.sigma_px == pytest.approx(a.sigma_px, rel=1e-9)
+    a = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
+    b = fit_joint_width(crippled, Mode.DIFFERENCE, 16.0)
+    assert b.fit.sigma == pytest.approx(a.fit.sigma, rel=1e-9)
 
 
 def test_fit_joint_width_sum():
     joint = synthetic_joint()
-    w = fit_joint_width(joint, Mode.SUM, 16.0)
+    w = fit_joint_width(joint, Mode.SUM, 16.0, broad=True)
     # the a + b histogram carries twice the per-coordinate spread
-    assert w.sigma_px == pytest.approx(2.0 * 30.0, rel=0.02)
+    assert w.fit.sigma == pytest.approx(2.0 * 30.0, rel=0.02)
 
 
 def test_inferred_variance_applies_the_optical_scale():
     joint = synthetic_joint()
     scale = 1.0 / 2.5
     iv = inferred_variance(joint, Mode.DIFFERENCE, pitch_um=16.0, scale=scale)
-    assert iv.variance == pytest.approx(iv.variance_det_um2 * scale**2)
-    assert iv.variance_det_um2 == pytest.approx(iv.width.sigma_um**2)
+    assert iv.variance == pytest.approx(iv.width.sigma_um**2 * scale**2)
 
 
 def test_epr_product_is_a_plain_product():
@@ -275,8 +274,7 @@ def test_epr_product_is_a_plain_product():
 
 def test_axis_dimensionality_counts_resolvable_modes():
     joint = synthetic_joint(sigma_narrow=3.0, sigma_broad=30.0)
-    est = axis_dimensionality(joint, pitch_um=16.0, extent_px=201,
-                              narrow=Mode.DIFFERENCE)
+    est = axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE)
     assert est.sigma_narrow_um == pytest.approx(3.0 * 16.0, rel=0.02)
     assert est.sigma_broad_um == pytest.approx(60.0 * 16.0, rel=0.02)
     expected_marg = 0.5 * math.hypot(est.sigma_narrow_um, est.sigma_broad_um)
@@ -288,39 +286,52 @@ def test_axis_dimensionality_counts_resolvable_modes():
     assert est.substituted_from is None
     # a narrow fit made beforehand with the same arguments gives the same
     # estimate, and a passed-in fit is used as it is
-    narrow = fit_joint_width(joint, Mode.DIFFERENCE, 16.0, window_px=40)
-    assert axis_dimensionality(joint, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
+    narrow = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
+    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE,
                                narrow_fit=narrow) == est
-    wider = dataclasses.replace(narrow, sigma_px=1.1 * narrow.sigma_px)
-    assert axis_dimensionality(joint, pitch_um=16.0, extent_px=201, narrow=Mode.DIFFERENCE,
-                               narrow_fit=wider).sigma_narrow_um == 1.1 * narrow.sigma_px * 16.0
+    wider = dataclasses.replace(narrow, fit=dataclasses.replace(narrow.fit,
+                                                                sigma=1.1 * narrow.fit.sigma))
+    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE,
+                               narrow_fit=wider).sigma_narrow_um == 1.1 * narrow.fit.sigma * 16.0
 
 
 def test_axis_dimensionality_rejects_inverted_ordering():
     joint = synthetic_joint()
     with pytest.raises(AnalysisError, match="inverted"):
-        axis_dimensionality(joint, pitch_um=16.0, extent_px=201, narrow=Mode.SUM)
+        axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.SUM)
 
 
 def test_dimensionality_products_and_substitution():
     joints = {"col": synthetic_joint(), "row": synthetic_joint()}
-    extent = {"col": 201, "row": 201}
-    est = dimensionality(joints, pitch_um=16.0, extent_px=extent, narrow=Mode.DIFFERENCE)
+    est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+                         narrow_fit=None)
+    assert list(est.axes) == ["col", "row"]
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
     # a narrow fit made beforehand with the same arguments is reused as it is
-    narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0, window_px=40)
-    assert dimensionality(joints, pitch_um=16.0, extent_px=extent, narrow=Mode.DIFFERENCE,
-                          narrow_fits={"col": narrow}) == est
+    narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0)
+    assert dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+                          narrow_fit=narrow) == est
 
-    sub = dimensionality(joints, pitch_um=16.0, extent_px=extent,
-                         narrow=Mode.DIFFERENCE, substitute={"row": "col"})
+    # a smeared plane's row reuses the column's estimate and never reads its own joint
+    sub = dimensionality({"col": joints["col"], "row": None}, pitch_um=16.0,
+                         narrow=Mode.DIFFERENCE, smeared=True, narrow_fit=None)
+    assert list(sub.axes) == ["col", "row"]
     assert sub.axes["row"].substituted_from == "col"
     assert sub.axes["row"].d_axis == sub.axes["col"].d_axis
     assert sub.d_total == pytest.approx(sub.axes["col"].d_axis ** 2)
 
-    with pytest.raises(ParameterError, match="substitute"):
-        dimensionality({"col": joints["col"]}, pitch_um=16.0, extent_px={"col": 201},
-                       narrow=Mode.DIFFERENCE, substitute={"col": "row"})
+
+def test_dimensionality_coverage_uses_each_axis_width():
+    """A non-square region: the column joint spans 201 pixels, the row joint 151."""
+    joints = {"col": synthetic_joint(w=201), "row": synthetic_joint(w=151)}
+    est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+                         narrow_fit=None)
+    for axis, width in (("col", 201), ("row", 151)):
+        ax = est.axes[axis]
+        expected = math.erf(width * 16.0 / (2 * math.sqrt(2) * ax.sigma_marginal_um))
+        assert ax.coverage == pytest.approx(expected, rel=1e-12)
+    assert est.axes["row"].coverage < est.axes["col"].coverage
+    assert est.d_total == est.axes["col"].d_axis * est.axes["row"].d_axis
 
 
 # -- map cross-sections --------------------------------------------------------
@@ -330,25 +341,21 @@ def synthetic_map(mode, h=61, w=61, sigma=4.0, amplitude=5.0, noise=0.02, seed=0
     values = rng.normal(0.0, noise, size=(2 * h - 1, 2 * w - 1))
     if mode is Mode.DIFFERENCE:
         row, centre = h - 1, w - 1
-        row_axis = np.arange(-(h - 1), h)
-        col_axis = np.arange(-(w - 1), w)
     else:
         row, centre = 2 * (h // 2), 2 * (w // 2)
-        row_axis = np.arange(0, 2 * h - 1)
-        col_axis = np.arange(0, 2 * w - 1)
     x = np.arange(2 * w - 1)
     values[row] += gaussian(x, amplitude, centre, sigma, 0.0)
     mask = np.zeros_like(values, dtype=bool)
     if mode is Mode.DIFFERENCE:
         mask[h - 1, w - 1] = True
-    return SubtractedMap(mode, values, mask, (h, w), row_axis, col_axis)
+    return SubtractedMap(mode, values, mask, (h, w))
 
 
 @pytest.mark.parametrize("mode", [Mode.DIFFERENCE, Mode.SUM])
 def test_fit_map_width_reads_the_central_cross_section(mode):
     sub = synthetic_map(mode)
     w = fit_map_width(sub, 16.0)
-    assert w.sigma_px == pytest.approx(4.0, rel=0.05)
+    assert w.fit.sigma == pytest.approx(4.0, rel=0.05)
     assert w.sigma_um == pytest.approx(16.0 * math.sqrt(4.0**2 - PIXEL_VAR_PAIR),
                                        rel=0.05)
 

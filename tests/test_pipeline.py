@@ -1,5 +1,6 @@
 """End-to-end simulate/analyze wiring on a reduced but honest acquisition."""
 
+import csv
 import importlib.util
 import itertools
 import json
@@ -17,7 +18,7 @@ from bpcam.correlate import Mode, StackAccumulator, subtract
 from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW, PLANE_IMAGE
 from bpcam.pipeline import _STALE_TMP, analyze, simulate
-from bpcam.report import write_report
+from bpcam.report import write_cross_sections, write_report
 
 TINY = dict(roi_height=41, roi_width=41, n_frames=6, n_dark_frames=20,
             n_bootstrap=0, seed=3)
@@ -249,7 +250,8 @@ def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkey
     n_reused, reused = fits_and_report()
     dimensionality = pipeline.dimensionality
     monkeypatch.setattr(pipeline, "dimensionality",
-                        lambda joints, narrow_fits=None, **kw: dimensionality(joints, **kw))
+                        lambda joints, narrow_fit, **kw: dimensionality(joints, narrow_fit=None,
+                                                                        **kw))
     n_fresh, fresh = fits_and_report()
     assert n_fresh - n_reused == 2
     assert np.isfinite([reused.d_pos, reused.d_mom]).all()
@@ -384,6 +386,24 @@ def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
                       "image dimensionality", "farfield dimensionality"]
 
 
+def test_analyze_non_square_region(tmp_path):
+    """41 rows by 61 columns: the maps span 2H - 1 by 2W - 1 bins, and the
+    cross-section runs along the 2W - 1 column offsets."""
+    cfg = RunConfig().replace(**{**TINY, "roi_width": 61})
+    sim = simulate(cfg, tmp_path)
+    products = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    assert products.warnings  # six frames cannot support the fits
+    assert not any(text.startswith("frame counts differ") for text in products.warnings)
+    for sub in products.maps.values():
+        assert sub.values.shape == sub.mask.shape == (81, 121)
+    paths = write_cross_sections(products.maps, tmp_path / "csv", cfg.pixel_pitch)
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "coordinate_px"
+        assert len(rows) == 1 + 121
+
+
 def _truncated_copy(path, out, n_frames):
     """The first `n_frames` frames of a stack, under the same header fields."""
     rd = StackReader(path)
@@ -404,6 +424,10 @@ def test_bootstrap_needs_blocks_on_both_planes(small_run, tmp_path, short):
     cfg = cfg.replace(n_bootstrap=5)
     redone = analyze(paths["image"], paths["farfield"], cfg)
     assert redone.report.errors == {}
+    counts = {name: cfg.n_frames for name in ("image", "farfield")} | {short: 2 * cfg.n_blocks - 1}
+    assert redone.warnings[0] == (f"frame counts differ: image {counts['image']}, "
+                                  f"farfield {counts['farfield']}")
+    assert redone.report.detail["warnings"] == redone.warnings
     labels = [text.split(":")[0] for text in redone.warnings]
     assert f"{short} blocks" in labels
     assert not [label for label in labels if label.endswith("bootstrap")]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bpcam import EprReport, Mode
-from bpcam.correlate import SubtractedMap
+from bpcam.correlate import SubtractedMap, pair_axis
 from bpcam import report as report_module
 from bpcam.framestack import AtomicFile
 from bpcam.inference import central_cross_section
@@ -83,23 +83,21 @@ def sample_map(mode, h=5, w=5):
     mask = np.zeros(shape, dtype=bool)
     if mode is Mode.DIFFERENCE:
         mask[h - 1, w - 1] = True
-        row_axis = np.arange(-(h - 1), h)
-        col_axis = np.arange(-(w - 1), w)
-    else:
-        row_axis = np.arange(0, 2 * h - 1)
-        col_axis = np.arange(0, 2 * w - 1)
-    return SubtractedMap(mode, values, mask, (h, w), row_axis, col_axis)
+    return SubtractedMap(mode, values, mask, (h, w))
 
 
 def test_central_cross_section_row_choice():
-    h = 5
-    diff = sample_map(Mode.DIFFERENCE, h=h)
+    # non-square: the axis runs along the 2W - 1 columns, the row comes from H
+    h, w = 5, 7
+    diff = sample_map(Mode.DIFFERENCE, h=h, w=w)
     axis, values, mask = central_cross_section(diff)
-    np.testing.assert_array_equal(axis, diff.col_axis)
+    assert axis.tolist() == list(range(-(w - 1), w))
     np.testing.assert_array_equal(values, diff.values[h - 1])
-    assert mask[h - 1]  # the masked centre bin travels with the row
-    summ = sample_map(Mode.SUM, h=h)
-    _, values_s, _ = central_cross_section(summ)
+    assert mask[w - 1]  # the masked centre bin travels with the row
+    summ = sample_map(Mode.SUM, h=h, w=w)
+    axis_s, values_s, _ = central_cross_section(summ)
+    np.testing.assert_array_equal(axis_s, pair_axis(w, Mode.SUM))
+    assert axis_s.size == 2 * w - 1
     np.testing.assert_array_equal(values_s, summ.values[2 * (h // 2)])
 
 
