@@ -53,7 +53,6 @@ from .inference import (
     fit_map_width,
     inferred_variance,
     make_blocks,
-    shaded_gaussian,
 )
 from .model import (
     AnalyticPrediction,

@@ -40,7 +40,6 @@ def _load_config(args) -> RunConfig:
         ("seed", "seed"),
         ("frames", "n_frames"),
         ("dark_frames", "n_dark_frames"),
-        ("threshold_k", "threshold_k"),
         ("bootstrap", "n_bootstrap"),
         ("snr_gate", "snr_gate"),
     ):
@@ -160,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--frames", type=int, default=None, help="override frames per plane")
     p.add_argument("--dark-frames", type=int, default=None, help="override dark frame count")
-    p.add_argument("--threshold-k", type=float, default=None,
-                   help="pin the threshold instead of calibrating it from the darks")
     p.add_argument("--plane", choices=("both", "image", "farfield"), default="both")
     p.set_defaults(func=_cmd_simulate)
 

@@ -62,8 +62,7 @@ class RunConfig:
     n_frames: int = 20000
     n_dark_frames: int = 2000
     seed: int = 7
-    # thresholding: None means "calibrate k to target_occupancy from the darks"
-    threshold_k: float | None = None
+    # thresholding: k is calibrated on the darks so that they fire at this occupancy
     target_occupancy: float = 0.02
     # analysis
     n_bootstrap: int = 100
@@ -220,11 +219,6 @@ def _coerce(key: str, value, annotation) -> object:
         if not isinstance(value, str):
             raise ParameterError(f"field {key!r} must be a string, got {value!r}")
         return value
-    # float or float | None
-    if value is None:
-        if "None" in ann:
-            return None
-        raise ParameterError(f"field {key!r} may not be null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"field {key!r} must be a number, got {value!r}")
     return float(value)

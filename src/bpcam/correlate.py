@@ -33,7 +33,9 @@ spectral outputs land on integers (they must; the inputs are counts).  The
 same pass cuts the stack into the bootstrap's blocks: it holds one block's
 per-frame row/column marginals at a time, and when the block's last frame
 arrives it turns them into exact joint distributions over pixel pairs,
-collapsed at once onto the pair coordinates, for conditional-variance work.
+collapsed at once onto the accumulator's pair coordinate, for
+conditional-variance work.  It also counts the frames in which each pixel
+fired, once for the whole stack: the single-photon profile.
 """
 
 from __future__ import annotations
@@ -98,26 +100,29 @@ class SubtractedMap:
 
 @dataclass
 class JointDistribution:
-    """Ordered pair counts over one transverse axis, by pair coordinate.
+    """Ordered pair counts over one transverse axis, by one pair coordinate.
 
     For a pair whose first photon is in pixel a and second in pixel b,
-    `signal[mode]` and `reference[mode]` count it in bin b - a + W - 1
+    `signal` and `reference` count it in bin b - a + W - 1
     (Mode.DIFFERENCE) or a + b (Mode.SUM): int64 arrays of 2W - 1 bins.
     `signal` includes the same-photon (self) pairs, which land on a = b;
     their per-pixel total is `self_counts`, so downstream users can remove
     the artifact exactly (the accidental reference never cancels it).
-    A joint does not name its axis: callers key it by "col" or "row".
+    A joint names neither its axis nor its pair coordinate: callers key it
+    by "col" or "row", and read it with the mode of the accumulator that
+    made it.
     """
 
-    signal: dict  # {Mode: (2W-1,) int64} same-frame ordered pairs
-    reference: dict  # {Mode: (2W-1,) int64} adjacent-frame ordered pairs
+    signal: np.ndarray  # (2W-1,) int64 same-frame ordered pairs
+    reference: np.ndarray  # (2W-1,) int64 adjacent-frame ordered pairs
     self_counts: np.ndarray  # (W,) photons per pixel column/row, summed over frames
     n_frames: int
     n_reference_pairs: int
 
 
-def block_joint(counts: np.ndarray) -> JointDistribution:
-    """Joint pair distribution of the frames whose marginals are the rows of `counts`.
+def block_joint(counts: np.ndarray, mode: Mode) -> JointDistribution:
+    """Joint pair distribution, on pair coordinate `mode`, of the frames whose
+    marginals are the rows of `counts`.
 
     `counts[i, a]` is the number of photons of frame i in column (or row) a;
     the result carries no axis name, so the caller keys it.  float64
@@ -130,8 +135,8 @@ def block_joint(counts: np.ndarray) -> JointDistribution:
         raise ParameterError("a joint distribution needs at least 2 frames")
     v = counts.astype(np.float64)
     return JointDistribution(
-        signal=pair_histogram(np.einsum("na,nb->ab", v, v)),
-        reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:])),
+        signal=pair_histogram(np.einsum("na,nb->ab", v, v), mode),
+        reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:]), mode),
         self_counts=counts.sum(axis=0, dtype=np.int64),
         n_frames=counts.shape[0],
         n_reference_pairs=counts.shape[0] - 1,
@@ -145,6 +150,7 @@ class StackResult:
     map: CorrelationMap
     blocks: dict  # {"col": [JointDistribution, ...], "row": [...]}, one per block
     ones_per_frame: np.ndarray  # (N,) int64
+    fired: np.ndarray  # (H, W) int32: the frames in which each pixel fired
 
     @property
     def n_frames(self) -> int:
@@ -192,7 +198,8 @@ class StackAccumulator:
     current block's frames are held until its last frame arrives, then
     collapse into one `JointDistribution` per axis (`block_joint`).  The
     adjacent-frame pairs that straddle an edge are in the map but in no
-    block.  None makes the whole stack one block.
+    block.  None makes the whole stack one block.  Each pixel's count of
+    fired frames is kept for the whole stack only (`StackResult.fired`).
     """
 
     def __init__(self, roi: tuple[int, int], mode: Mode,
@@ -245,6 +252,7 @@ class StackAccumulator:
         self._closing = frozenset(block_edges[1:] if block_edges else ())
         self._marginals: dict = {"col": [], "row": []}
         self._blocks: dict = {"col": [], "row": []}
+        self._fired = np.zeros(self.roi, dtype=np.int32)
         self._finalized = False
 
     # -- per-frame work ----------------------------------------------------
@@ -288,6 +296,7 @@ class StackAccumulator:
             bits = bits.astype(bool)
         n = int(np.count_nonzero(bits))
         self._ones.append(n)
+        self._fired += bits
         self._marginals["col"].append(bits.sum(axis=0, dtype=np.int32))
         self._marginals["row"].append(bits.sum(axis=1, dtype=np.int32))
         if len(self._ones) in self._closing:
@@ -327,7 +336,7 @@ class StackAccumulator:
 
     def _close_block(self):
         for axis, rows in self._marginals.items():
-            self._blocks[axis].append(block_joint(np.vstack(rows)))
+            self._blocks[axis].append(block_joint(np.vstack(rows), self.mode))
             rows.clear()
 
     # -- finalisation --------------------------------------------------------
@@ -381,7 +390,7 @@ class StackAccumulator:
         if int(sig.sum()) != exp_sig or int(ref.sum()) != exp_ref:
             raise ConsistencyError(f"pair-count conservation failed on the {self.mode.value} map")
         cmap = CorrelationMap(self.mode, sig, ref, n_frames, n_frames - 1, self.roi)
-        return StackResult(cmap, self._blocks, ones)
+        return StackResult(cmap, self._blocks, ones, self._fired)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +433,13 @@ def peak_snr(sub: SubtractedMap) -> PeakSnr:
     """Mean over the 3 x 3 window at the expected peak, divided by the
     standard error of the background (the SNR_ANNULUS of Chebyshev distances).
 
-    The expected peak sits at zero offset (difference maps) or at twice the
-    centre pixel (sum maps); masked bins are excluded from both regions.
+    The expected peak sits at bin (H - 1, W - 1) in both modes: zero offset
+    on a difference map, and on a sum map the sum of two pixels placed
+    symmetrically about the optical axis, which is H - 1 (W - 1) for even
+    and odd sizes alike.  Masked bins are excluded from both regions.
     """
     h, w = sub.roi
-    if sub.mode is Mode.DIFFERENCE:
-        r0, c0 = h - 1, w - 1
-    else:
-        r0, c0 = 2 * (h // 2), 2 * (w // 2)
+    r0, c0 = h - 1, w - 1
     rows = np.arange(sub.values.shape[0])[:, None]
     cols = np.arange(sub.values.shape[1])[None, :]
     cheb = np.maximum(np.abs(rows - r0), np.abs(cols - c0))
@@ -460,28 +468,27 @@ def pair_axis(w: int, mode: Mode) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_keys(w: int) -> dict:
-    """`pair_histogram`'s bins of a flattened (W, W) matrix, read-only."""
+def _pair_keys(w: int, mode: Mode) -> np.ndarray:
+    """`pair_histogram`'s bins of a flattened (W, W) matrix on `mode`, read-only."""
     a, b = np.indices((w, w))
-    keys = {Mode.DIFFERENCE: (b - a + (w - 1)).ravel(), Mode.SUM: (a + b).ravel()}
-    for k in keys.values():
-        k.flags.writeable = False
+    keys = (b - a + (w - 1) if mode is Mode.DIFFERENCE else a + b).ravel()
+    keys.flags.writeable = False
     return keys
 
 
-def pair_histogram(matrix: np.ndarray) -> dict:
-    """Collapse a (W, W) pair matrix J[a, b] onto b - a and onto a + b.
+def pair_histogram(matrix: np.ndarray, mode: Mode) -> np.ndarray:
+    """Collapse a (W, W) pair matrix J[a, b] onto b - a or onto a + b.
 
-    Returns {Mode: int64 counts over its `pair_axis` grid}, one `bincount`
-    per mode over the bins b - a + W - 1 and a + b.  The entries must be
+    Returns int64 counts over the `pair_axis` grid of `mode`, one
+    `bincount` over the bins b - a + W - 1 or a + b.  The entries must be
     integers (float64 ones too); the sums are exact below 2**53.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"pair matrix must be square, got {m.shape}")
     w = m.shape[0]
-    return {mode: np.rint(np.bincount(keys, weights=m.ravel(), minlength=2 * w - 1))
-            .astype(np.int64) for mode, keys in _pair_keys(w).items()}
+    counts = np.bincount(_pair_keys(w, mode), weights=m.ravel(), minlength=2 * w - 1)
+    return np.rint(counts).astype(np.int64)
 
 
 def joint_excess_histogram(joint: JointDistribution, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
@@ -494,10 +501,10 @@ def joint_excess_histogram(joint: JointDistribution, mode: Mode) -> tuple[np.nda
     zero-offset (difference) / even-sum (sum) excess.
     """
     w = joint.self_counts.size
-    sig = joint.signal[mode].copy()
+    sig = joint.signal.copy()
     if mode is Mode.DIFFERENCE:
         sig[w - 1] -= joint.self_counts.sum()
     else:
         sig[::2] -= joint.self_counts
-    excess = sig / joint.n_frames - joint.reference[mode] / joint.n_reference_pairs
+    excess = sig / joint.n_frames - joint.reference / joint.n_reference_pairs
     return pair_axis(w, mode), excess

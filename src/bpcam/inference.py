@@ -10,7 +10,9 @@ turns them into physical numbers:
     pair-coordinate projections of the joint pixel-pair distributions, and
     their product against the Heisenberg bound of 1/4 (hbar = 1 throughout);
   * an entangled-mode-count estimate per axis from the broad/narrow width
-    ratio, derated by the fraction of the broad marginal the sensor covers;
+    ratio, the broad width taken from the saturation-corrected
+    single-photon profile and the count derated by the fraction of that
+    profile the sensor covers;
   * block-bootstrap standard errors for all of the above.
 
 Claiming an EPR-type violation additionally requires the correlation peaks to
@@ -52,31 +54,6 @@ def gaussian_jacobian(x, amplitude, center, sigma, offset=0.0):
     g = np.exp(-0.5 * u * u)
     dc = amplitude * g * u / sigma
     return np.column_stack([g, dc, dc * u, np.ones_like(g)])
-
-
-def shaded_gaussian(x, amplitude, center, sigma, shade):
-    """Gaussian dome whose peak is screened by its own height.
-
-    Binary pixels saturate: where the light is densest, a pixel is more
-    often already lit, so the excess-coincidence dome loses counts in
-    proportion to the local single-photon occupancy on both ends of the
-    pair.  The occupancy profile of either photon has exactly half the
-    pair-coordinate variance, so the screening envelope shares the dome's
-    own sigma and the suppression factorises as ``(1 - shade * g)**2``
-    with ``g`` the unit-height dome.  ``shade=0`` recovers a plain
-    baseline-free Gaussian.
-    """
-    g = np.exp(-0.5 * ((x - center) / sigma) ** 2)
-    return amplitude * g * (1.0 - shade * g) ** 2
-
-
-def shaded_gaussian_jacobian(x, amplitude, center, sigma, shade):
-    """Derivatives of `shaded_gaussian` by (amplitude, center, sigma, shade)."""
-    u = (x - center) / sigma
-    g = np.exp(-0.5 * u * u)
-    screen = 1.0 - shade * g
-    dc = amplitude * screen * (1.0 - 3.0 * shade * g) * g * u / sigma
-    return np.column_stack([g * screen ** 2, dc, dc * u, -2.0 * amplitude * g * g * screen])
 
 
 #: a fit may evaluate its model at most this many times per parameter
@@ -177,7 +154,6 @@ class GaussianFit:
     sigma_err: float
     center_err: float
     n_points: int
-    shade: float = 0.0
     nfev: int = 0  # model evaluations the fit took
 
 
@@ -207,45 +183,30 @@ def fit_gaussian(
     y,
     mask=None,
     fix_offset: float | None = None,
-    shaded: bool = False,
 ) -> GaussianFit:
     """Least-squares Gaussian fit, moment-initialised.
 
     `mask` marks points to exclude (contaminated bins).  `fix_offset` holds
     the baseline constant instead of fitting it; the per-frame-normalised
     excess histograms are baseline-free by construction, and fixing the
-    offset keeps wide, window-filling peaks well conditioned.  `shaded`
-    fits `shaded_gaussian` instead, which corrects the width of broad
-    domes whose centre is suppressed by binary-pixel saturation; it
-    requires a fixed offset.  Raises FitFailureError when the optimiser
-    fails or returns a degenerate width: sigma on a bound, or a zero
-    amplitude that leaves sigma undetermined.
+    offset keeps wide, window-filling peaks well conditioned.  Raises
+    FitFailureError when the optimiser fails or returns a degenerate
+    width: sigma on a bound, or a zero amplitude that leaves sigma
+    undetermined.
     """
-    if shaded and fix_offset is None:
-        raise ParameterError("shaded fits require a fixed offset")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if mask is not None:
         keep = ~np.asarray(mask, dtype=bool)
         x, y = x[keep], y[keep]
-    if x.size < (4 if fix_offset is not None and not shaded else 5):
+    if x.size < (4 if fix_offset is not None else 5):
         raise FitFailureError(f"too few points to fit ({x.size})")
     amplitude, mu, sigma, offset = _moment_start(x, y, fix_offset)
     span = float(x.max() - x.min())
     p0 = [amplitude, mu, min(max(sigma, 1e-6), 5.0 * span)]
     lower = [0.0, x.min() - span, 1e-9]
     upper = [np.inf, x.max() + span, 10.0 * span]
-    if shaded:
-        # peak height is amplitude*(1-shade)^2, so start the amplitude high
-        p0[0] = 1.3 * amplitude
-        p0.append(0.1)
-        lower.append(0.0)
-        upper.append(0.8)
-
-        def model(xx, a, c, s, b):
-            return offset + shaded_gaussian(xx, a, c, s, b)
-        jac = shaded_gaussian_jacobian
-    elif fix_offset is None:
+    if fix_offset is None:
         model, jac = gaussian, gaussian_jacobian
         p0.append(offset)
         lower.append(-np.inf)
@@ -262,11 +223,10 @@ def fit_gaussian(
         amplitude=float(popt[0]),
         center=float(popt[1]),
         sigma=float(abs(popt[2])),
-        offset=float(popt[3]) if fix_offset is None and not shaded else offset,
+        offset=float(popt[3]) if fix_offset is None else offset,
         sigma_err=float(perr[2]),
         center_err=float(perr[1]),
         n_points=int(x.size),
-        shade=float(popt[3]) if shaded else 0.0,
         nfev=nfev,
     )
     if not np.isfinite(fit.sigma) or fit.sigma <= 2e-9 or fit.sigma >= 9.9 * span \
@@ -309,15 +269,15 @@ def _width_near_peak(x, y, mask, pitch_um: float,
 def central_cross_section(sub: SubtractedMap):
     """The map row that the width fits read: (offsets_px, values, mask).
 
-    A difference map gives its dr = 0 row: vertical charge smear displaces
-    rows only, so this row is smear-free, and the self-pair bin at zero
-    offset arrives already masked.  A sum map gives row 2 (H // 2), the
-    row-sum bin of the doubled centre.  The offsets are the map's column
+    Both give row H - 1.  On a difference map that is dr = 0: vertical
+    charge smear displaces rows only, so this row is smear-free, and the
+    self-pair bin at zero offset arrives already masked.  On a sum map it
+    is the row sum of two pixels placed symmetrically about the optical
+    axis, for even and odd H alike.  The offsets are the map's column
     `pair_axis`.
     """
     h, w = sub.roi
-    row = h - 1 if sub.mode is Mode.DIFFERENCE else 2 * (h // 2)
-    return pair_axis(w, sub.mode).astype(float), sub.values[row], sub.mask[row]
+    return pair_axis(w, sub.mode).astype(float), sub.values[h - 1], sub.mask[h - 1]
 
 
 def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
@@ -326,19 +286,12 @@ def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
     return _width_near_peak(*central_cross_section(sub), pitch_um)
 
 
-def fit_joint_width(
-    joint: JointDistribution,
-    mode: Mode,
-    pitch_um: float,
-    broad: bool = False,
-) -> WidthEstimate:
+def fit_joint_width(joint: JointDistribution, mode: Mode, pitch_um: float) -> WidthEstimate:
     """Width of the 1-D pair-coordinate excess derived from a joint distribution.
 
-    A narrow peak (the default) is fitted with a plain Gaussian within
-    NARROW_WINDOW_PX of its highest bin.  A `broad` dome is fitted over the
-    whole axis with the saturation model of `shaded_gaussian`: its centre
-    sits where the light (and hence the chance a pixel is already lit) is
-    densest.  Self-pairs are removed exactly.  In DIFFERENCE mode the
+    The peak is fitted with a plain Gaussian within NARROW_WINDOW_PX of its
+    highest bin; `mode` is the pair coordinate the joint was collapsed
+    onto.  Self-pairs are removed exactly.  In DIFFERENCE mode the
     zero-offset bin is also excluded: a binary pixel cannot fire twice in
     one frame, so the within-frame distinct-pair count at zero column
     offset falls short of the cross-frame accidental estimate by the summed
@@ -350,11 +303,7 @@ def fit_joint_width(
     """
     axis, hist = joint_excess_histogram(joint, mode)
     mask = (axis == 0) if mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
-    x = axis.astype(float)
-    if not broad:
-        return _width_near_peak(x, hist, mask, pitch_um, fix_offset=0.0)
-    return deconvolved_width(fit_gaussian(x, hist, mask=mask, fix_offset=0.0, shaded=True),
-                             pitch_um)
+    return _width_near_peak(axis.astype(float), hist, mask, pitch_um, fix_offset=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +355,7 @@ def epr_product(var_x_um2: float, var_p_hbar2_per_um2: float) -> float:
 @dataclass
 class AxisDimensionality:
     ratio: float  # broad width / narrow width, as detected
-    coverage: float  # fraction of the broad marginal inside the field of view
+    coverage: float  # fraction of the single-photon marginal inside the field of view
     d_axis: float  # coverage * ratio
     sigma_narrow_um: float
     sigma_broad_um: float
@@ -420,49 +369,74 @@ class DimensionalityEstimate:
     axes: dict
 
 
+def saturation_factors(fired: np.ndarray, n_frames: int) -> dict:
+    """{"col": (W,), "row": (H,)} factors kappa = sum mu / sum p over the other axis.
+
+    A pixel that fires in a fraction p of the frames (`fired` / `n_frames`)
+    received mu = -ln(1 - p) Poisson counts per frame, photons and dark
+    counts alike.  A bin that never fired gets kappa = 1.  kappa times a
+    pooled joint's `self_counts` / `n_frames` (its sum of p) is its
+    saturation-corrected profile; on the whole stack, sum mu.
+    """
+    p = fired / n_frames
+    with np.errstate(divide="ignore"):
+        mu = -np.log1p(-p)
+    out = {}
+    for axis, other in (("col", 0), ("row", 1)):
+        sum_p = p.sum(axis=other)
+        out[axis] = np.divide(mu.sum(axis=other), sum_p, out=np.ones_like(sum_p),
+                              where=sum_p > 0)
+    return out
+
+
+def fit_singles_profile(joint: JointDistribution, kappa: np.ndarray,
+                        baseline: float) -> GaussianFit:
+    """Gaussian fit of kappa * `self_counts` / `n_frames`, the corrected singles profile.
+
+    The offset is held at `baseline`, the dark counts' known share: fitted
+    freely, it trades off against the width of a profile that fills the
+    field of view.
+    """
+    profile = kappa * joint.self_counts / joint.n_frames
+    if not np.isfinite(profile).all():
+        raise AnalysisError("a pixel fired in every frame: its saturation cannot be corrected")
+    return fit_gaussian(np.arange(profile.size, dtype=np.float64), profile,
+                        fix_offset=baseline)
+
+
 def axis_dimensionality(
     joint: JointDistribution,
     *,
     pitch_um: float,
     narrow: Mode,
+    kappa: np.ndarray,
+    baseline: float,
     narrow_fit: WidthEstimate | None = None,
 ) -> AxisDimensionality:
     """Mode count along one axis: coverage * (broad width / narrow width).
 
-    Both widths come from the same joint distribution, one per pair
-    coordinate.  `narrow` names the coordinate expected to carry the tight
-    peak (DIFFERENCE for correlated positions, SUM for anti-correlated
-    momenta); it is fitted within NARROW_WINDOW_PX of its peak, because a
-    few-pixel spike on a few-hundred-bin domain leaves moment-based starting
-    values at the mercy of the subtraction noise.  The other coordinate is
-    fitted as a `broad` dome with the saturation-corrected model
-    (`shaded_gaussian`): its centre coincides with the occupancy maximum, so
-    a plain Gaussian reads the flattened top as extra width.  The narrow peak
-    needs no such correction — occupancy is constant across a few-pixel
-    window and only rescales the amplitude.
-    The marginal single-photon width follows from the exact decomposition
-    Var(x1) = (Var(x1+x2) + Var(x1-x2)) / 4, and the coverage factor
-    erf(extent / (2 sqrt(2) sigma_marginal)) is the probability that a
-    photon from the broad marginal lands on the sensor at all; the extent
-    is the joint's own pixel count.
-    `narrow_fit` passes in a narrow-peak fit the caller already made with
-    the same arguments, so it is not repeated.
+    The narrow width is `fit_joint_width` on the joint's pair coordinate
+    `narrow` (DIFFERENCE for correlated positions, SUM for anti-correlated
+    momenta), or `narrow_fit` when the caller already made that fit.  The
+    broad one follows from the single-photon width (`fit_singles_profile`)
+    by 4 Var(x1) = Var(x1 + x2) + Var(x1 - x2).  All widths are as
+    detected: binning adds 1/12 px^2 per photon and 1/6 px^2 per pair
+    coordinate, so the identity holds.  The coverage
+    erf(extent / (2 sqrt(2) sigma_marginal)) is the chance that a photon
+    lands on the joint's pixels at all.
     """
-    broad_mode = Mode.SUM if narrow is Mode.DIFFERENCE else Mode.DIFFERENCE
     wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um)
-    wb = fit_joint_width(joint, broad_mode, pitch_um, broad=True)
-    # widths as detected (no binning deconvolution): the mode count describes
-    # what the camera jointly resolves, and pixelation is part of that.
     narrow_um = wn.fit.sigma * pitch_um
-    broad_um = wb.fit.sigma * pitch_um
-    if broad_um <= narrow_um:
+    marg_um = fit_singles_profile(joint, kappa, baseline).sigma * pitch_um
+    broad_var = 4.0 * marg_um ** 2 - narrow_um ** 2
+    if broad_var <= narrow_um ** 2:
         raise AnalysisError(
             "width ordering inverted: the coordinate expected to be narrow "
-            f"fitted {narrow_um:.3g} um against {broad_um:.3g} um"
+            f"fitted {narrow_um:.3g} um against a single-photon width of {marg_um:.3g} um"
         )
-    sigma_marg_um = 0.5 * math.sqrt(narrow_um ** 2 + broad_um ** 2)
+    broad_um = math.sqrt(broad_var)
     extent_px = joint.self_counts.size
-    coverage = math.erf(extent_px * pitch_um / (2.0 * math.sqrt(2.0) * sigma_marg_um))
+    coverage = math.erf(extent_px * pitch_um / (2.0 * math.sqrt(2.0) * marg_um))
     ratio = broad_um / narrow_um
     return AxisDimensionality(
         ratio=ratio,
@@ -470,7 +444,7 @@ def axis_dimensionality(
         d_axis=coverage * ratio,
         sigma_narrow_um=narrow_um,
         sigma_broad_um=broad_um,
-        sigma_marginal_um=sigma_marg_um,
+        sigma_marginal_um=marg_um,
     )
 
 
@@ -481,20 +455,27 @@ def dimensionality(
     narrow: Mode,
     smeared: bool,
     narrow_fit: WidthEstimate | None,
+    kappa: dict,
+    dark_occupancy: float,
 ) -> DimensionalityEstimate:
     """Total mode count as the product of the column and row estimates.
 
-    `joints` holds the "col" and "row" joints.  On a `smeared` plane, where
-    vertical charge smear contaminates the row statistics, the row reuses
-    the column's estimate and its row joint is not read.  `narrow_fit` is
-    the column's `narrow_fit` for `axis_dimensionality`, or None.
+    `joints` holds the "col" and "row" joints and `kappa` their
+    `saturation_factors`.  Darks fire each pixel in a fraction
+    `dark_occupancy` of the frames, so an axis's profile sits on
+    -ln(1 - dark_occupancy) times the other axis's pixel count.  On a
+    `smeared` plane the row reuses the column's estimate and its row joint
+    is not read.  `narrow_fit` is the column's, or None.
     """
-    col = axis_dimensionality(joints["col"], pitch_um=pitch_um, narrow=narrow,
-                              narrow_fit=narrow_fit)
-    if smeared:
-        row = replace(col, substituted_from="col")
-    else:
-        row = axis_dimensionality(joints["row"], pitch_um=pitch_um, narrow=narrow)
+    dark_mu = -math.log1p(-dark_occupancy)
+
+    def along(axis, other, fit=None):
+        return axis_dimensionality(joints[axis], pitch_um=pitch_um, narrow=narrow,
+                                   kappa=kappa[axis], baseline=kappa[other].size * dark_mu,
+                                   narrow_fit=fit)
+
+    col = along("col", "row", narrow_fit)
+    row = replace(col, substituted_from="col") if smeared else along("row", "col")
     return DimensionalityEstimate(d_total=col.d_axis * row.d_axis, axes={"col": col, "row": row})
 
 
@@ -506,8 +487,8 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
     if not parts:
         raise ParameterError("no joint blocks to combine")
     return JointDistribution(
-        signal={m: sum(p.signal[m] for p in parts) for m in parts[0].signal},
-        reference={m: sum(p.reference[m] for p in parts) for m in parts[0].reference},
+        signal=sum(p.signal for p in parts),
+        reference=sum(p.reference for p in parts),
         self_counts=sum(p.self_counts for p in parts),
         n_frames=sum(p.n_frames for p in parts),
         n_reference_pairs=sum(p.n_reference_pairs for p in parts),

@@ -9,7 +9,7 @@ a product of Gaussians in the pair centroid and separation,
 where sigma_plus is the pump spot size (field std dev) and sigma_minus is the
 birth-zone width set by the phase-matching bandwidth of a thin crystal,
 sigma_minus = sqrt(alpha * L * lambda_pump / 2pi).  Everything downstream —
-sampling laws, predicted correlation widths on the detector, Schmidt-type mode
+sampling laws, predicted correlation widths on the detector, width-ratio mode
 counts, conditional variances and their product against the hbar^2/4 bound —
 derives from these two widths, so this module is the single source of truth.
 
@@ -144,7 +144,10 @@ def predicted_correlation_lengths(
 
 
 def predicted_mode_count(source: SourceParams) -> float:
-    """Schmidt-type dimensionality per transverse plane, (sigma_plus/sigma_minus)^2."""
+    """Width-ratio mode count per transverse plane, (sigma_plus/sigma_minus)^2.
+
+    It is not the state's Schmidt number (Law & Eberly, PRL 92, 127903 (2004)).
+    """
     return (source.sigma_plus / source.sigma_minus) ** 2
 
 

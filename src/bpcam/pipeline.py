@@ -1,11 +1,11 @@
 """End-to-end runs: simulate stacks to disk, then analyse them into a report.
 
 `simulate` writes one raw dark stack plus one thresholded stack per optical
-plane, deriving the photon-counting threshold from the darks unless the
-configuration pins it.  `analyze` streams the thresholded stacks once
-through the correlation accumulators and produces an `EprReport` with the
-fitted correlation widths, conditional variances, mode counts, significance
-numbers and bootstrap errors.
+plane, calibrating the photon-counting threshold so that the darks fire at
+the configured target occupancy.  `analyze` streams the thresholded stacks
+once through the correlation accumulators and produces an `EprReport` with
+the fitted correlation widths, conditional variances, mode counts,
+significance numbers and bootstrap errors.
 
 Every random draw comes from a substream keyed by (seed, plane code, frame
 index), so stacks are bit-reproducible and any frame can be regenerated in
@@ -59,6 +59,7 @@ from .inference import (
     fit_map_width,
     inferred_variance,
     make_blocks,
+    saturation_factors,
 )
 from .model import HEISENBERG_PRODUCT, Plane, predict
 from .sampler import generate_frame_events, substream
@@ -174,10 +175,7 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
             wr.write(frame)
     darks = StackReader(dark_path)
     cal = calibrate(darks)
-    if config.threshold_k is not None:
-        k = float(config.threshold_k)
-    else:
-        k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
+    k = calibrate_flux_equivalence(darks, config.target_occupancy, calibration=cal)
     dark_s = time.perf_counter() - t_dark
 
     done = _over_planes(_simulate_plane, [Plane(p) for p in planes], config, str(out), digest,
@@ -253,7 +251,8 @@ _PLANE_MODE = {Plane.IMAGE: Mode.DIFFERENCE, Plane.FAR_FIELD: Mode.SUM}
 _PLANE_NAMES = {Plane.IMAGE: ("pos", "x", "cond_var_x_um2"),
                 Plane.FAR_FIELD: ("mom", "p", "cond_var_p_hbar2_per_um2")}
 #: the steps of a plane's analysis, in the order the report lists their warnings and records
-_STEPS = ("map fit", "peak snr", "blocks", "inferred variance", "dimensionality", "bootstrap")
+_STEPS = ("occupancy", "map fit", "peak snr", "blocks", "inferred variance", "dimensionality",
+          "bootstrap")
 
 
 @dataclass
@@ -313,6 +312,12 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
         acc.add(bits)
     res = acc.finalize()
     sub = subtract(res.map, mask_smear_rows=smeared)
+    # the share of frames in which the pixel on the optical axis and the busiest one fired
+    h, w = config.roi
+    records["occupancy"] = (f"occupancy_{name}", {
+        "centre": float(res.fired[h // 2, w // 2] / res.n_frames),
+        "max": float(res.fired.max() / res.n_frames),
+    })
 
     width = _try("map fit", f"sigma_{coord} fit",
                  lambda: fit_map_width(sub, pitch))
@@ -325,6 +330,8 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     # the pooled blocks drop only the n_blocks - 1 boundary reference pairs
     joints = {ax: combine_joints(blk) for ax, blk in res.blocks.items()}
     scale = config.optics(plane).detector_to_source_scale(config.source())
+    # the singles profile is corrected with the whole stack's pixel counts
+    kappa = saturation_factors(res.fired, res.n_frames)
 
     # the point figures and every bootstrap resample come from these two estimators
     def fit_variance(joints):
@@ -333,7 +340,8 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     def fit_dimensionality(joints, cond_var):
         # the column's narrow fit is the inferred variance's, made with the same arguments
         return dimensionality(joints, pitch_um=pitch, narrow=mode, smeared=smeared,
-                              narrow_fit=cond_var.width if cond_var else None)
+                              narrow_fit=cond_var.width if cond_var else None,
+                              kappa=kappa, dark_occupancy=config.target_occupancy)
 
     def statistic(joints):
         cond_var = fit_variance(joints)

@@ -128,7 +128,8 @@ def test_report_missing_file(tmp_path, capsys):
 
 
 def test_cli_misuse_exits_2(capsys):
-    for argv in ([], ["frobnicate"], ["simulate", "--plane", "sideways"]):
+    for argv in ([], ["frobnicate"], ["simulate", "--plane", "sideways"],
+                 ["simulate", "--threshold-k", "3.5"]):  # k is always calibrated
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -80,6 +80,7 @@ def test_field_type_coercion_errors():
         ("attenuation_mode", 3),
         ("qe", "high"),
         ("seed", None),
+        ("qe", None),
     ]:
         data = dict(base)
         data[key] = value
@@ -130,7 +131,7 @@ def test_sim_digest_ignores_analysis_knobs():
     for changes in (
         dict(seed=8),
         dict(photons_per_pixel=0.03),
-        dict(threshold_k=2.0),
+        dict(target_occupancy=0.03),
         dict(smear_prob_image=0.0),
     ):
         assert a.replace(**changes).sim_digest() != a.sim_digest()

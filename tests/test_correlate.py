@@ -84,15 +84,13 @@ def collapse(m):
     return {Mode.DIFFERENCE: diff, Mode.SUM: summ}
 
 
-def assert_joint_equals_brute_force(joint, counts):
-    """`joint` against the int64 products of the marginal rows `counts`."""
+def assert_joint_equals_brute_force(joint, counts, mode):
+    """`joint` against the int64 products of the marginal rows `counts` on `mode`."""
     b = counts.astype(np.int64)
     for got, want in ((joint.signal, collapse(b.T @ b)),
                       (joint.reference, collapse(b[:-1].T @ b[1:]))):
-        assert set(got) == set(Mode)
-        for mode in Mode:
-            assert got[mode].dtype == np.int64
-            np.testing.assert_array_equal(got[mode], want[mode])
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want[mode])
     np.testing.assert_array_equal(joint.self_counts, b.sum(axis=0))
     assert joint.n_frames == len(b) and joint.n_reference_pairs == len(b) - 1
 
@@ -234,7 +232,10 @@ def test_axes_and_marginals(rng):
         assert [len(b) for b in res.blocks.values()] == [1, 1]
         for axis, sum_over in (("col", 0), ("row", 1)):
             counts = np.array([f.sum(axis=sum_over) for f in frames])
-            assert_joint_equals_brute_force(res.blocks[axis][0], counts)
+            assert_joint_equals_brute_force(res.blocks[axis][0], counts, mode)
+        # each pixel's count of fired frames
+        assert res.fired.dtype == np.int32
+        np.testing.assert_array_equal(res.fired, np.sum(frames, axis=0))
 
 
 def test_joint_distribution_matches_marginal_products(rng):
@@ -244,12 +245,12 @@ def test_joint_distribution_matches_marginal_products(rng):
     rows = np.array([f.sum(axis=1) for f in frames])
     for axis, counts in (("col", cols), ("row", rows)):
         first, second = res.blocks[axis]
-        assert_joint_equals_brute_force(first, counts[:2])
-        assert_joint_equals_brute_force(second, counts[2:])
+        assert_joint_equals_brute_force(first, counts[:2], Mode.SUM)
+        assert_joint_equals_brute_force(second, counts[2:], Mode.SUM)
     assert res.blocks["col"][1].n_frames == 3
 
     with pytest.raises(ParameterError):
-        block_joint(cols[2:3])  # single frame
+        block_joint(cols[2:3], Mode.SUM)  # single frame
     for edges in ((0, 1, 5), (1, 5), (0, 3, 2), (0,)):
         with pytest.raises(ParameterError, match="block edges"):
             StackAccumulator((6, 7), Mode.DIFFERENCE, block_edges=edges)
@@ -310,20 +311,23 @@ def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
     edges = make_blocks(n, 10)
     assert len(set(np.diff(edges))) == 2
     for lo, hi in [(0, n), *zip(edges[:-1], edges[1:])]:
-        assert_joint_equals_brute_force(block_joint(counts[lo:hi]), counts[lo:hi])
+        for mode in Mode:
+            assert_joint_equals_brute_force(block_joint(counts[lo:hi], mode), counts[lo:hi],
+                                            mode)
 
 
 def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
-    # each block keeps 1-D histograms over the 2W - 1 pair coordinates, not
-    # W x W matrices: 4 (2W - 1) pair counts and W self-pair totals
+    # each block keeps 1-D histograms over the 2W - 1 bins of its pair
+    # coordinate, not W x W matrices: 2 (2W - 1) pair counts and W self-pair
+    # totals
     w = 201
     counts = rng.poisson(8.0, size=(40, w)).astype(np.int32)
     edges = make_blocks(len(counts), 10)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        blk = block_joint(counts[lo:hi])
-        arrays = [*blk.signal.values(), *blk.reference.values(), blk.self_counts]
+        blk = block_joint(counts[lo:hi], Mode.SUM)
+        arrays = [blk.signal, blk.reference, blk.self_counts]
         assert all(a.ndim == 1 for a in arrays)
-        assert sum(a.size for a in arrays) == 4 * (2 * w - 1) + w
+        assert sum(a.size for a in arrays) == 2 * (2 * w - 1) + w
 
 
 def test_add_accepts_array_likes(rng):
@@ -373,20 +377,38 @@ def test_peak_snr_detects_a_planted_peak(rng):
         peak_snr(sub_like)
 
 
+@pytest.mark.parametrize("h, w", [(80, 80), (81, 81), (80, 81)])
+def test_sum_map_peak_sits_at_h_minus_1_w_minus_1(h, w):
+    """Pixels placed symmetrically about the optical axis, the centre of the
+    region, sum to (H - 1, W - 1) for even and odd sizes alike; `peak_snr`
+    centres its window there."""
+    rng = np.random.default_rng(4)
+    frames = []
+    for _ in range(6):
+        f = np.zeros((h, w), dtype=bool)
+        r, c = rng.integers(0, h, 30), rng.integers(0, w, 30)
+        f[r, c] = f[h - 1 - r, w - 1 - c] = True
+        frames.append(f)
+    sub = subtract(run_accumulator(frames, Mode.SUM).map)
+    assert np.unravel_index(np.argmax(sub.values), sub.values.shape) == (h - 1, w - 1)
+    sub.values = rng.normal(0.0, 0.01, sub.values.shape)
+    sub.values[h - 2:h + 1, w - 2:w + 1] += 1.0  # a 3 x 3 peak about (H - 1, W - 1)
+    assert peak_snr(sub).peak_mean == pytest.approx(1.0, abs=0.05)
+
+
 def test_pair_histogram_oracle(rng):
     m = rng.integers(0, 5, size=(6, 6))
-    hist = pair_histogram(m)
     want = collapse(m)
     assert pair_axis(6, Mode.DIFFERENCE).tolist() == list(range(-5, 6))
     assert pair_axis(6, Mode.SUM).tolist() == list(range(0, 11))
     for mode in Mode:
-        assert hist[mode].dtype == np.int64
-        np.testing.assert_array_equal(hist[mode], want[mode])
-    # float64 entries that hold integers collapse to the same counts
-    for mode, counts in pair_histogram(m.astype(np.float64)).items():
-        np.testing.assert_array_equal(counts, want[mode])
+        hist = pair_histogram(m, mode)
+        assert hist.dtype == np.int64
+        np.testing.assert_array_equal(hist, want[mode])
+        # float64 entries that hold integers collapse to the same counts
+        np.testing.assert_array_equal(pair_histogram(m.astype(np.float64), mode), want[mode])
     with pytest.raises(ParameterError):
-        pair_histogram(np.zeros((3, 4)))
+        pair_histogram(np.zeros((3, 4)), Mode.SUM)
 
 
 def test_joint_excess_removes_self_pairs(rng):
@@ -397,19 +419,19 @@ def test_joint_excess_removes_self_pairs(rng):
     counts = np.zeros((n, w), dtype=np.int32)
     cols = rng.integers(0, w, size=n)
     counts[np.arange(n), cols] = 1
-    joint = block_joint(counts)
 
     def kept(mode):  # the excess with the self-pairs left in
-        return joint.signal[mode] / n - joint.reference[mode] / (n - 1)
+        joint = block_joint(counts, mode)
+        return joint.signal / n - joint.reference / (n - 1)
 
-    axis, removed = joint_excess_histogram(joint, Mode.DIFFERENCE)
+    axis, removed = joint_excess_histogram(block_joint(counts, Mode.DIFFERENCE), Mode.DIFFERENCE)
     kept_diff = kept(Mode.DIFFERENCE)
     zero = np.where(axis == 0)[0][0]
     assert kept_diff[zero] - removed[zero] == pytest.approx(1.0)
     off_zero = axis != 0
     np.testing.assert_allclose(kept_diff[off_zero], removed[off_zero])
     # on the sum axis a photon in pixel a pairs with itself at a + b = 2a
-    axis, removed = joint_excess_histogram(joint, Mode.SUM)
+    axis, removed = joint_excess_histogram(block_joint(counts, Mode.SUM), Mode.SUM)
     assert axis.tolist() == list(range(2 * w - 1))
     np.testing.assert_allclose(kept(Mode.SUM) - removed,
                                np.bincount(2 * cols, minlength=2 * w - 1) / n)

@@ -1,4 +1,4 @@
-"""Width fitting, saturation correction, variance inference, bootstrap."""
+"""Width fitting, the singles profile, variance inference, bootstrap."""
 
 import dataclasses
 import json
@@ -19,7 +19,6 @@ from bpcam import (
     fit_map_width,
     inferred_variance,
     make_blocks,
-    shaded_gaussian,
 )
 from bpcam.correlate import (
     JointDistribution,
@@ -36,9 +35,10 @@ from bpcam.inference import (
     PIXEL_VAR_PAIR,
     axis_dimensionality,
     deconvolved_width,
+    fit_singles_profile,
     gaussian,
     gaussian_jacobian,
-    shaded_gaussian_jacobian,
+    saturation_factors,
 )
 
 
@@ -58,7 +58,6 @@ def test_fit_gaussian_recovers_parameters(rng):
     assert fit.offset == pytest.approx(2.0, abs=0.05)
     assert fit.sigma_err > 0 and fit.center_err > 0
     assert fit.n_points == x.size
-    assert fit.shade == 0.0
 
 
 def test_fit_gaussian_fixed_offset(rng):
@@ -89,15 +88,11 @@ def test_fit_gaussian_failure_modes(rng):
         fit_gaussian([0, 1, 2], [0.0, 1.0, 0.0])
     with pytest.raises(FitFailureError):
         fit_gaussian(x, np.zeros(x.size), fix_offset=0.0)  # nothing above baseline
-    with pytest.raises(ParameterError, match="fixed offset"):
-        fit_gaussian(x, np.exp(-0.5 * x**2), shaded=True)
 
 
 @pytest.mark.parametrize("model, jacobian, params", [
     (gaussian, gaussian_jacobian, (2.0, 0.5, 1.5, 0.3)),
     (gaussian, gaussian_jacobian, (-1.0, -2.0, 0.7, 0.0)),
-    (shaded_gaussian, shaded_gaussian_jacobian, (2.0, 0.5, 1.5, 0.3)),
-    (shaded_gaussian, shaded_gaussian_jacobian, (3.0, -1.0, 2.5, 0.8)),
 ])
 def test_analytic_jacobians_match_central_differences(model, jacobian, params):
     x = np.linspace(-6.0, 6.0, 61)
@@ -136,7 +131,7 @@ def test_fit_survives_a_huge_gain_ratio():
 
 
 def test_fits_reach_the_cost_of_scipys_curve_fit(rng, monkeypatch):
-    """Noisy narrow and dome fits end at a cost no higher than scipy's
+    """Noisy narrow and broad fits end at a cost no higher than scipy's
     trust-region fit from the same start and bounds, with the same errors."""
     optimize = pytest.importorskip("scipy.optimize")
     solver = inference.curve_fit
@@ -151,13 +146,13 @@ def test_fits_reach_the_cost_of_scipys_curve_fit(rng, monkeypatch):
 
     monkeypatch.setattr(inference, "curve_fit", both)
     narrow = np.arange(-40.0, 41.0)
-    dome = np.arange(-200.0, 201.0)
+    profile = np.arange(0.0, 201.0)
     for _ in range(5):
         fit_gaussian(narrow, noisy_gaussian(narrow, 8.0, 1.5, 3.0, 0.5, 0.3, rng))
         fit_gaussian(narrow, noisy_gaussian(narrow, 5.0, -0.5, 2.5, 0.0, 0.3, rng),
                      fix_offset=0.0)
-        y = shaded_gaussian(dome, 10.0, 3.0, 60.0, 0.3) + rng.normal(0, 0.3, dome.size)
-        fit_gaussian(dome, y, fix_offset=0.0, shaded=True)
+        fit_gaussian(profile, noisy_gaussian(profile, 10.0, 103.0, 50.0, 4.0, 0.3, rng),
+                     fix_offset=4.0)
     assert len(pairs) == 15
     for cost, ref_cost, err, ref_err in pairs:
         assert cost <= ref_cost * (1 + 1e-9)
@@ -171,36 +166,55 @@ def test_next_fast_len_matches_scipy():
     assert next_fast_len(2 * 201 - 1) == 405
 
 
-# -- saturation-corrected fits ---------------------------------------------------
+# -- the singles profile ---------------------------------------------------------
 
-def test_shaded_gaussian_reduces_to_plain_at_zero_shade():
-    x = np.linspace(-5, 5, 41)
-    np.testing.assert_allclose(
-        shaded_gaussian(x, 2.0, 0.5, 1.5, 0.0),
-        gaussian(x, 2.0, 0.5, 1.5, 0.0),
-    )
-
-
-def test_shaded_fit_recovers_the_unsaturated_width(rng):
-    """A centre-suppressed dome fools a plain Gaussian into extra width; the
-    screened model must recover the true sigma and the screening depth."""
-    x = np.arange(-200.0, 201.0)
-    true_sigma, true_shade = 60.0, 0.4
-    y = shaded_gaussian(x, 10.0, 0.0, true_sigma, true_shade)
-    y += rng.normal(0, 0.01, x.size)
-    plain = fit_gaussian(x, y, fix_offset=0.0)
-    assert plain.sigma > 1.05 * true_sigma  # the flattened top reads as width
-    shaded = fit_gaussian(x, y, fix_offset=0.0, shaded=True)
-    assert shaded.sigma == pytest.approx(true_sigma, rel=0.01)
-    assert shaded.shade == pytest.approx(true_shade, abs=0.03)
+def test_saturation_factors_correct_each_bin():
+    fired = np.array([[0, 50, 99], [0, 10, 20]])
+    kappa = saturation_factors(fired, 100)
+    p = fired / 100
+    mu = -np.log1p(-p)
+    assert kappa["col"][0] == 1.0  # a column that never fired
+    np.testing.assert_allclose(kappa["col"][1:] * p.sum(axis=0)[1:], mu.sum(axis=0)[1:],
+                               rtol=1e-12)
+    np.testing.assert_allclose(kappa["row"] * p.sum(axis=1), mu.sum(axis=1), rtol=1e-12)
+    assert (kappa["col"] >= 1.0).all() and (kappa["row"] >= 1.0).all()
 
 
-def test_shaded_fit_handles_unshaded_data(rng):
-    x = np.arange(-150.0, 151.0)
-    y = noisy_gaussian(x, 4.0, 0.0, 40.0, 0.0, 0.005, rng)
-    fit = fit_gaussian(x, y, fix_offset=0.0, shaded=True)
-    assert fit.sigma == pytest.approx(40.0, rel=0.02)
-    assert fit.shade == pytest.approx(0.0, abs=0.05)
+def singles_joint(fired, n_frames):
+    """A joint whose single-photon counts are the column sums of `fired`."""
+    w = fired.shape[1]
+    return JointDistribution(signal=np.zeros(2 * w - 1, dtype=np.int64),
+                             reference=np.zeros(2 * w - 1, dtype=np.int64),
+                             self_counts=fired.sum(axis=0), n_frames=n_frames,
+                             n_reference_pairs=n_frames - 1)
+
+
+def test_singles_profile_recovers_the_marginal_width():
+    """Binary pixels under light g and darks p0 fire at p = 1 - (1 - p0) exp(-lam g).
+
+    The corrected profile recovers the light's width; the raw firing
+    fractions, flattened on top by saturation, read it wider.
+    """
+    h, w, n_frames, p0, sigma = 121, 161, 1_000_000, 0.02, 30.0
+    r = np.arange(h)[:, None] - (h - 1) / 2
+    c = np.arange(w)[None, :] - (w - 1) / 2
+    g = np.exp(-0.5 * (r**2 + c**2) / sigma**2)
+    p = 1.0 - (1.0 - p0) * np.exp(-0.16 * g)  # 16 % at the centre
+    fired = np.rint(n_frames * p).astype(np.int64)
+    joint = singles_joint(fired, n_frames)
+    baseline = h * -math.log1p(-p0)
+    fit = fit_singles_profile(joint, saturation_factors(fired, n_frames)["col"], baseline)
+    assert fit.sigma == pytest.approx(sigma, rel=0.01)
+    assert fit.center == pytest.approx((w - 1) / 2, abs=0.01)
+    raw = fit_gaussian(np.arange(w), fired.sum(axis=0) / n_frames, fix_offset=h * p0)
+    assert raw.sigma > 1.01 * sigma
+
+
+def test_singles_profile_of_a_pixel_fired_in_every_frame_is_an_analysis_error():
+    fired = np.full((5, 9), 3)
+    fired[2, 4] = 10
+    with pytest.raises(AnalysisError, match="every frame"):
+        fit_singles_profile(singles_joint(fired, 10), saturation_factors(fired, 10)["col"], 0.1)
 
 
 def test_deconvolved_width_removes_pixel_variance(rng):
@@ -219,21 +233,34 @@ def test_deconvolved_width_removes_pixel_variance(rng):
 
 # -- synthetic joint distributions ------------------------------------------------
 
-def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0):
-    """Factorised pair counts: narrow in b - a, broad in a + b about the centre."""
+def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0,
+                    mode=Mode.DIFFERENCE):
+    """Factorised pair counts, narrow in b - a and broad in a + b about the centre,
+    collapsed onto `mode`; the single-photon counts are the matching marginal."""
     a = np.arange(w)[:, None]
     b = np.arange(w)[None, :]
     centre = w - 1
     density = np.exp(-0.5 * ((b - a) / sigma_narrow) ** 2)
     density = density * np.exp(-0.5 * ((a + b - centre) / (2.0 * sigma_broad)) ** 2)
-    counts = np.rint(scale * density).astype(np.int64)
+    sigma_marg = 0.5 * math.hypot(sigma_narrow, 2.0 * sigma_broad)
+    singles = np.rint(scale * gaussian(np.arange(w), 1.0, centre / 2, sigma_marg, 0.0))
+    # the signal holds the self-pairs too, on a = b, as the accumulator's does
+    counts = np.rint(scale * density).astype(np.int64) + np.diag(singles.astype(np.int64))
     return JointDistribution(
-        signal=pair_histogram(counts),
-        reference=pair_histogram(np.zeros((w, w), dtype=np.int64)),
-        self_counts=np.zeros(w, dtype=np.int64),
+        signal=pair_histogram(counts, mode),
+        reference=np.zeros(2 * w - 1, dtype=np.int64),
+        self_counts=singles.astype(np.int64),
         n_frames=1,
         n_reference_pairs=1,
     )
+
+
+#: the singles profile of `synthetic_joint`: no saturation, no dark counts
+NO_SATURATION = {"kappa": np.ones(201), "baseline": 0.0}
+
+
+def flat_kappa(joints):
+    return {axis: np.ones(j.self_counts.size) for axis, j in joints.items()}
 
 
 def test_fit_joint_width_difference():
@@ -247,17 +274,18 @@ def test_fit_joint_width_ignores_the_zero_offset_bin():
     """The bin a binary camera cannot populate honestly is always excluded."""
     joint = synthetic_joint()
     crippled = synthetic_joint()
-    crippled.signal[Mode.DIFFERENCE][200] = 0  # kill every b - a = 0 count (W = 201)
+    crippled.signal[200] = 0  # kill every b - a = 0 count (W = 201)
     a = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
     b = fit_joint_width(crippled, Mode.DIFFERENCE, 16.0)
     assert b.fit.sigma == pytest.approx(a.fit.sigma, rel=1e-9)
 
 
 def test_fit_joint_width_sum():
-    joint = synthetic_joint()
-    w = fit_joint_width(joint, Mode.SUM, 16.0, broad=True)
+    """Anti-correlated coordinates: the narrow peak sits in a + b, self-pairs removed."""
+    joint = synthetic_joint(sigma_narrow=30.0, sigma_broad=1.5, mode=Mode.SUM)
+    w = fit_joint_width(joint, Mode.SUM, 16.0)
     # the a + b histogram carries twice the per-coordinate spread
-    assert w.fit.sigma == pytest.approx(2.0 * 30.0, rel=0.02)
+    assert w.fit.sigma == pytest.approx(2.0 * 1.5, rel=0.02)
 
 
 def test_inferred_variance_applies_the_optical_scale():
@@ -274,7 +302,7 @@ def test_epr_product_is_a_plain_product():
 
 def test_axis_dimensionality_counts_resolvable_modes():
     joint = synthetic_joint(sigma_narrow=3.0, sigma_broad=30.0)
-    est = axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE)
+    est = axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE, **NO_SATURATION)
     assert est.sigma_narrow_um == pytest.approx(3.0 * 16.0, rel=0.02)
     assert est.sigma_broad_um == pytest.approx(60.0 * 16.0, rel=0.02)
     expected_marg = 0.5 * math.hypot(est.sigma_narrow_um, est.sigma_broad_um)
@@ -288,33 +316,34 @@ def test_axis_dimensionality_counts_resolvable_modes():
     # estimate, and a passed-in fit is used as it is
     narrow = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
     assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE,
-                               narrow_fit=narrow) == est
+                               narrow_fit=narrow, **NO_SATURATION) == est
     wider = dataclasses.replace(narrow, fit=dataclasses.replace(narrow.fit,
                                                                 sigma=1.1 * narrow.fit.sigma))
-    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE,
-                               narrow_fit=wider).sigma_narrow_um == 1.1 * narrow.fit.sigma * 16.0
+    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE, narrow_fit=wider,
+                               **NO_SATURATION).sigma_narrow_um == 1.1 * narrow.fit.sigma * 16.0
 
 
 def test_axis_dimensionality_rejects_inverted_ordering():
-    joint = synthetic_joint()
+    joint = synthetic_joint(mode=Mode.SUM)
     with pytest.raises(AnalysisError, match="inverted"):
-        axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.SUM)
+        axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.SUM, **NO_SATURATION)
 
 
 def test_dimensionality_products_and_substitution():
     joints = {"col": synthetic_joint(), "row": synthetic_joint()}
     est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
-                         narrow_fit=None)
+                         narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
     assert list(est.axes) == ["col", "row"]
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
     # a narrow fit made beforehand with the same arguments is reused as it is
     narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0)
     assert dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
-                          narrow_fit=narrow) == est
+                          narrow_fit=narrow, kappa=flat_kappa(joints), dark_occupancy=0.0) == est
 
     # a smeared plane's row reuses the column's estimate and never reads its own joint
     sub = dimensionality({"col": joints["col"], "row": None}, pitch_um=16.0,
-                         narrow=Mode.DIFFERENCE, smeared=True, narrow_fit=None)
+                         narrow=Mode.DIFFERENCE, smeared=True, narrow_fit=None,
+                         kappa=flat_kappa(joints), dark_occupancy=0.0)
     assert list(sub.axes) == ["col", "row"]
     assert sub.axes["row"].substituted_from == "col"
     assert sub.axes["row"].d_axis == sub.axes["col"].d_axis
@@ -325,7 +354,7 @@ def test_dimensionality_coverage_uses_each_axis_width():
     """A non-square region: the column joint spans 201 pixels, the row joint 151."""
     joints = {"col": synthetic_joint(w=201), "row": synthetic_joint(w=151)}
     est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
-                         narrow_fit=None)
+                         narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
     for axis, width in (("col", 201), ("row", 151)):
         ax = est.axes[axis]
         expected = math.erf(width * 16.0 / (2 * math.sqrt(2) * ax.sigma_marginal_um))
@@ -339,12 +368,8 @@ def test_dimensionality_coverage_uses_each_axis_width():
 def synthetic_map(mode, h=61, w=61, sigma=4.0, amplitude=5.0, noise=0.02, seed=0):
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, noise, size=(2 * h - 1, 2 * w - 1))
-    if mode is Mode.DIFFERENCE:
-        row, centre = h - 1, w - 1
-    else:
-        row, centre = 2 * (h // 2), 2 * (w // 2)
     x = np.arange(2 * w - 1)
-    values[row] += gaussian(x, amplitude, centre, sigma, 0.0)
+    values[h - 1] += gaussian(x, amplitude, w - 1, sigma, 0.0)
     mask = np.zeros_like(values, dtype=bool)
     if mode is Mode.DIFFERENCE:
         mask[h - 1, w - 1] = True
@@ -366,7 +391,8 @@ def poisson_blocks(n_frames=40, n_blocks=10, w=15, lam=3.0, seed=5):
     """{"col": block joints} of Poisson marginals, cut on `make_blocks`' edges."""
     counts = np.random.default_rng(seed).poisson(lam, size=(n_frames, w)).astype(np.int32)
     edges = make_blocks(n_frames, n_blocks)
-    return {"col": [block_joint(counts[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]}
+    return {"col": [block_joint(counts[lo:hi], Mode.DIFFERENCE)
+                    for lo, hi in zip(edges[:-1], edges[1:])]}
 
 
 def test_blocks_pool_back_to_the_full_joint():
@@ -383,8 +409,7 @@ def test_blocks_pool_back_to_the_full_joint():
     cut = blocks(block_edges=edges)["col"]
     assert len(cut) == 10
     pooled = combine_joints(cut)
-    for mode in Mode:
-        np.testing.assert_array_equal(pooled.signal[mode], full.signal[mode])
+    np.testing.assert_array_equal(pooled.signal, full.signal)
     np.testing.assert_array_equal(pooled.self_counts, full.self_counts)
     assert pooled.n_frames == full.n_frames
     # pooling loses exactly the adjacent-frame pairs straddling block edges
@@ -392,8 +417,52 @@ def test_blocks_pool_back_to_the_full_joint():
     totals = frames.sum(axis=(1, 2)).astype(np.int64)
     straddle = sum(int(totals[e - 1] * totals[e]) for e in edges[1:-1])
     assert straddle > 0
-    for mode in Mode:
-        assert int(full.reference[mode].sum() - pooled.reference[mode].sum()) == straddle
+    assert int(full.reference.sum() - pooled.reference.sum()) == straddle
+
+
+def correlated_frames(n_frames=600, h=31, w=41, pairs=8.0, seed=3):
+    """Binary frames of Poisson(`pairs`) position-correlated pairs (centres 5 px
+    wide, partners 1.5 px apart) over dark fires at 2 %."""
+    rng = np.random.default_rng(seed)
+    frames = rng.random((n_frames, h, w)) < 0.02
+    most = int(pairs + 8 * math.sqrt(pairs))
+    centre = rng.normal(0.0, 5.0, size=(n_frames, most, 1, 2))
+    split = rng.normal(0.0, 1.5, size=(n_frames, most, 1, 2)) * np.array([[-0.5], [0.5]])
+    pos = np.rint(centre + split + [(h - 1) / 2, (w - 1) / 2]).astype(int)
+    inside = (pos[..., 0] >= 0) & (pos[..., 0] < h) & (pos[..., 1] >= 0) & (pos[..., 1] < w)
+    inside &= (np.arange(most)[:, None] < rng.poisson(pairs, n_frames)[:, None, None])
+    frame = np.broadcast_to(np.arange(n_frames)[:, None, None], inside.shape)
+    frames[frame[inside], pos[..., 0][inside], pos[..., 1][inside]] = True
+    return frames
+
+
+def test_blocks_pool_back_to_the_point_mode_count():
+    frames = correlated_frames()
+    edges = make_blocks(len(frames), 10)
+    acc = StackAccumulator(frames.shape[1:], Mode.DIFFERENCE, block_edges=edges)
+    for f in frames:
+        acc.add(f)
+    res = acc.finalize()
+    np.testing.assert_array_equal(res.fired, frames.sum(axis=0))
+    kappa = saturation_factors(res.fired, res.n_frames)
+
+    def mode_count(blocks):
+        joints = {ax: combine_joints(blk) for ax, blk in blocks.items()}
+        return dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+                              narrow_fit=None, kappa=kappa, dark_occupancy=0.02).d_total
+
+    point = mode_count(res.blocks)
+    assert point > 1.0
+    # a resample that draws every block once, in any order, gives the point figure
+    order = np.random.default_rng(1).permutation(10)
+    assert mode_count({ax: [blk[i] for i in order] for ax, blk in res.blocks.items()}) == point
+    # the pooled joints' profiles are the whole stack's sums of -ln(1 - p)
+    mu = -np.log1p(-res.fired / res.n_frames)
+    for axis, other in (("col", 0), ("row", 1)):
+        pooled = combine_joints(res.blocks[axis])
+        assert pooled.n_frames == res.n_frames
+        np.testing.assert_allclose(kappa[axis] * pooled.self_counts / pooled.n_frames,
+                                   mu.sum(axis=other), rtol=1e-12)
 
 
 def test_make_blocks_validation():
@@ -422,7 +491,7 @@ def test_block_bootstrap_reproducible_and_positive():
     blocks = poisson_blocks()
 
     def stat(joints):
-        return {"total": float(joints["col"].signal[Mode.DIFFERENCE].sum())}
+        return {"total": float(joints["col"].signal.sum())}
 
     a = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors
     b = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors

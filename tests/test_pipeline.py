@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -39,6 +40,36 @@ def test_small_run_recovers_the_physics(small_run):
     for occ in report.occupancy.values():
         assert 0.025 < occ < 0.06
     assert report.n_frames == {"image": 600, "farfield": 600}
+
+
+def test_small_run_mode_counts_land_on_the_closed_form(small_run):
+    """d_pos and d_mom within 35 % of the predicted mode count, derated by the
+    share of each plane's single-photon marginal that the 101-pixel region covers."""
+    cfg, sim, products = small_run
+    report = products.report
+    pred = report.prediction
+    extent_um = cfg.roi_width * cfg.pixel_pitch  # square roi
+    mag = cfg.magnification
+    ff = cfg.effective_focal / cfg.source().wavenumber
+    for key, narrow, broad in (
+            ("d_pos", pred["sigma_minus_um"] * mag, pred["sigma_plus_um"] * mag),
+            ("d_mom", ff / pred["sigma_plus_um"], ff / pred["sigma_minus_um"])):
+        marginal = math.hypot(narrow, broad) / 2.0
+        coverage = math.erf(extent_um / (2.0 * math.sqrt(2.0) * marginal))
+        assert getattr(report, key) == pytest.approx(pred["mode_count"] * coverage**2, rel=0.35)
+
+
+def test_report_records_each_planes_occupancy(small_run):
+    """The share of frames in which the centre pixel and the busiest pixel fired."""
+    cfg, sim, products = small_run
+    h, w = cfg.roi
+    for plane in ("image", "farfield"):
+        fired = sum(bits.astype(np.int64) for bits in StackReader(sim.stack_paths[plane]))
+        occ = products.report.detail[f"occupancy_{plane}"]
+        assert set(occ) == {"centre", "max"}
+        assert occ["max"] == fired.max() / cfg.n_frames
+        assert occ["centre"] == fired[h // 2, w // 2] / cfg.n_frames
+        assert occ["max"] >= occ["centre"] > 0.02
 
 
 def test_small_run_maps_match_a_sequential_pass(small_run):
@@ -331,12 +362,6 @@ def test_stale_sweep_matches_the_writers_temporary_files(tmp_path, name):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_pinned_threshold_skips_calibrated_k(tmp_path):
-    cfg = RunConfig().replace(**TINY, threshold_k=3.5)
-    sim = simulate(cfg, tmp_path, planes=(Plane.IMAGE,))
-    assert sim.threshold_k == 3.5
-
-
 def test_analyze_rejects_mismatched_stacks(tmp_path):
     cfg = RunConfig().replace(**TINY)
     sim = simulate(cfg, tmp_path)
@@ -382,8 +407,7 @@ def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
     labels = [text.split(":")[0] for text in products.report.detail["warnings"]]
     assert labels == ["sigma_pos fit",
                       "image peak snr", "farfield peak snr",
-                      "image blocks", "farfield blocks",
-                      "image dimensionality", "farfield dimensionality"]
+                      "image blocks", "farfield blocks"]
 
 
 def test_analyze_non_square_region(tmp_path):

@@ -98,7 +98,16 @@ def test_central_cross_section_row_choice():
     axis_s, values_s, _ = central_cross_section(summ)
     np.testing.assert_array_equal(axis_s, pair_axis(w, Mode.SUM))
     assert axis_s.size == 2 * w - 1
-    np.testing.assert_array_equal(values_s, summ.values[2 * (h // 2)])
+    np.testing.assert_array_equal(values_s, summ.values[h - 1])
+
+
+@pytest.mark.parametrize("h", [4, 5])
+def test_central_cross_section_reads_row_h_minus_1_of_a_sum_map(h):
+    """Two pixels placed symmetrically about the optical axis sum to row H - 1,
+    for even H too."""
+    summ = sample_map(Mode.SUM, h=h, w=6)
+    _, values, _ = central_cross_section(summ)
+    np.testing.assert_array_equal(values, summ.values[h - 1])
 
 
 def test_cross_section_csv_round_trip(tmp_path):
