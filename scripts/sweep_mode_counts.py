@@ -2,8 +2,7 @@
 """Seeded sweep of the mode counts and their widths against the closed form.
 
 For each seed, simulates the reference configuration at reduced scale
-(default 2,000 frames per plane, 400 darks, 100 bootstrap resamples),
-analyses it, and records per seed:
+(2,000 frames per plane, 400 darks, 100 bootstrap resamples), analyses it, and records per seed:
 
   * d_pos, d_mom and their bootstrap errors, and the failed resamples of
     each plane;
@@ -36,6 +35,8 @@ from bpcam import RunConfig
 from bpcam.pipeline import run
 
 PLANES = (("image", "pos"), ("farfield", "mom"))
+#: the reduced scale of every seed: frames per plane, dark frames, bootstrap resamples
+SETTINGS = {"frames": 2000, "dark_frames": 400, "bootstrap": 100}
 
 
 def parse_seeds(text: str) -> list:
@@ -119,16 +120,14 @@ def summarise(rows: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-10", help='seeds, e.g. "1-10" or "1,4,7"')
-    ap.add_argument("--frames", type=int, default=2000, help="frames per plane")
-    ap.add_argument("--dark-frames", type=int, default=400, help="dark frames")
-    ap.add_argument("--bootstrap", type=int, default=100, help="bootstrap resamples")
     ap.add_argument("--out", default="sweep_mode_counts.json", help="JSON file to write")
     args = ap.parse_args(argv)
 
     rows = []
     for seed in parse_seeds(args.seeds):
-        cfg = RunConfig().replace(seed=seed, n_frames=args.frames,
-                                  n_dark_frames=args.dark_frames, n_bootstrap=args.bootstrap)
+        cfg = RunConfig().replace(seed=seed, n_frames=SETTINGS["frames"],
+                                  n_dark_frames=SETTINGS["dark_frames"],
+                                  n_bootstrap=SETTINGS["bootstrap"])
         row = one_seed(cfg)
         rows.append(row)
         print(f"seed {seed}: d_pos {row['image']['d_pos']:.0f} "
@@ -136,9 +135,7 @@ def main(argv=None) -> int:
               f"+- {row['farfield']['d_mom_err']:.0f}, failed resamples "
               f"{row['image']['resamples_failed']}/{row['farfield']['resamples_failed']} "
               f"({row['wall_s']:.1f} s)", flush=True)
-    result = {"settings": {"frames": args.frames, "dark_frames": args.dark_frames,
-                           "bootstrap": args.bootstrap},
-              "seeds": rows, "summary": summarise(rows)}
+    result = {"settings": SETTINGS, "seeds": rows, "summary": summarise(rows)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     print(f"wrote {args.out}")

@@ -100,7 +100,7 @@ class SubtractedMap:
 
 @dataclass
 class JointDistribution:
-    """Ordered pair counts over one transverse axis, by one pair coordinate.
+    """Ordered pair counts over one transverse axis, by the pair coordinate `mode`.
 
     For a pair whose first photon is in pixel a and second in pixel b,
     `signal` and `reference` count it in bin b - a + W - 1
@@ -108,11 +108,10 @@ class JointDistribution:
     `signal` includes the same-photon (self) pairs, which land on a = b;
     their per-pixel total is `self_counts`, so downstream users can remove
     the artifact exactly (the accidental reference never cancels it).
-    A joint names neither its axis nor its pair coordinate: callers key it
-    by "col" or "row", and read it with the mode of the accumulator that
-    made it.
+    A joint does not name its axis: callers key it by "col" or "row".
     """
 
+    mode: Mode
     signal: np.ndarray  # (2W-1,) int64 same-frame ordered pairs
     reference: np.ndarray  # (2W-1,) int64 adjacent-frame ordered pairs
     self_counts: np.ndarray  # (W,) photons per pixel column/row, summed over frames
@@ -135,6 +134,7 @@ def block_joint(counts: np.ndarray, mode: Mode) -> JointDistribution:
         raise ParameterError("a joint distribution needs at least 2 frames")
     v = counts.astype(np.float64)
     return JointDistribution(
+        mode=mode,
         signal=pair_histogram(np.einsum("na,nb->ab", v, v), mode),
         reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:]), mode),
         self_counts=counts.sum(axis=0, dtype=np.int64),
@@ -491,10 +491,10 @@ def pair_histogram(matrix: np.ndarray, mode: Mode) -> np.ndarray:
     return np.rint(counts).astype(np.int64)
 
 
-def joint_excess_histogram(joint: JointDistribution, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+def joint_excess_histogram(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame pair excess along one axis: signal/N - reference/(N-1).
 
-    Returns (`pair_axis` grid, excess).  Self-pairs (a photon paired with
+    Returns (`pair_axis` grid of the joint's mode, excess).  Self-pairs (a photon paired with
     itself) sit at a = b, so on b - a = 0 or on the even sums a + b = 2a;
     they are removed exactly, in integers, via the stored per-pixel totals.
     The accidental reference contains none, so leaving them in would fake a
@@ -502,9 +502,9 @@ def joint_excess_histogram(joint: JointDistribution, mode: Mode) -> tuple[np.nda
     """
     w = joint.self_counts.size
     sig = joint.signal.copy()
-    if mode is Mode.DIFFERENCE:
+    if joint.mode is Mode.DIFFERENCE:
         sig[w - 1] -= joint.self_counts.sum()
     else:
         sig[::2] -= joint.self_counts
     excess = sig / joint.n_frames - joint.reference / joint.n_reference_pairs
-    return pair_axis(w, mode), excess
+    return pair_axis(w, joint.mode), excess

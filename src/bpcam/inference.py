@@ -286,12 +286,12 @@ def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
     return _width_near_peak(*central_cross_section(sub), pitch_um)
 
 
-def fit_joint_width(joint: JointDistribution, mode: Mode, pitch_um: float) -> WidthEstimate:
+def fit_joint_width(joint: JointDistribution, pitch_um: float) -> WidthEstimate:
     """Width of the 1-D pair-coordinate excess derived from a joint distribution.
 
     The peak is fitted with a plain Gaussian within NARROW_WINDOW_PX of its
-    highest bin; `mode` is the pair coordinate the joint was collapsed
-    onto.  Self-pairs are removed exactly.  In DIFFERENCE mode the
+    highest bin, on the pair coordinate the joint was collapsed onto.
+    Self-pairs are removed exactly.  In DIFFERENCE mode the
     zero-offset bin is also excluded: a binary pixel cannot fire twice in
     one frame, so the within-frame distinct-pair count at zero column
     offset falls short of the cross-frame accidental estimate by the summed
@@ -301,8 +301,8 @@ def fit_joint_width(joint: JointDistribution, mode: Mode, pitch_um: float) -> Wi
     and freeing it would make fits of peaks wider than the window
     degenerate.
     """
-    axis, hist = joint_excess_histogram(joint, mode)
-    mask = (axis == 0) if mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
+    axis, hist = joint_excess_histogram(joint)
+    mask = (axis == 0) if joint.mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
     return _width_near_peak(axis.astype(float), hist, mask, pitch_um, fix_offset=0.0)
 
 
@@ -328,7 +328,6 @@ class InferredVariance:
 
 def inferred_variance(
     joint: JointDistribution,
-    mode: Mode,
     *,
     pitch_um: float,
     scale: float,
@@ -336,11 +335,11 @@ def inferred_variance(
     """Minimum inferred variance along one axis from the pair-coordinate fit,
     made within NARROW_WINDOW_PX of its peak.
 
-    Use mode=DIFFERENCE with scale = 1/M on an image plane (source-plane
-    um^2) and mode=SUM with scale = k/f on a far field (momentum variance in
-    units of hbar^2/um^2).
+    Use a DIFFERENCE joint with scale = 1/M on an image plane (source-plane
+    um^2) and a SUM joint with scale = k/f on a far field (momentum variance
+    in units of hbar^2/um^2).
     """
-    width = fit_joint_width(joint, mode, pitch_um)
+    width = fit_joint_width(joint, pitch_um)
     return InferredVariance(variance=width.sigma_um ** 2 * scale ** 2, width=width)
 
 
@@ -408,7 +407,6 @@ def axis_dimensionality(
     joint: JointDistribution,
     *,
     pitch_um: float,
-    narrow: Mode,
     kappa: np.ndarray,
     baseline: float,
     narrow_fit: WidthEstimate | None = None,
@@ -416,8 +414,8 @@ def axis_dimensionality(
     """Mode count along one axis: coverage * (broad width / narrow width).
 
     The narrow width is `fit_joint_width` on the joint's pair coordinate
-    `narrow` (DIFFERENCE for correlated positions, SUM for anti-correlated
-    momenta), or `narrow_fit` when the caller already made that fit.  The
+    (DIFFERENCE for correlated positions, SUM for anti-correlated momenta),
+    or `narrow_fit` when the caller already made that fit.  The
     broad one follows from the single-photon width (`fit_singles_profile`)
     by 4 Var(x1) = Var(x1 + x2) + Var(x1 - x2).  All widths are as
     detected: binning adds 1/12 px^2 per photon and 1/6 px^2 per pair
@@ -425,7 +423,7 @@ def axis_dimensionality(
     erf(extent / (2 sqrt(2) sigma_marginal)) is the chance that a photon
     lands on the joint's pixels at all.
     """
-    wn = narrow_fit or fit_joint_width(joint, narrow, pitch_um)
+    wn = narrow_fit or fit_joint_width(joint, pitch_um)
     narrow_um = wn.fit.sigma * pitch_um
     marg_um = fit_singles_profile(joint, kappa, baseline).sigma * pitch_um
     broad_var = 4.0 * marg_um ** 2 - narrow_um ** 2
@@ -452,7 +450,6 @@ def dimensionality(
     joints: dict,
     *,
     pitch_um: float,
-    narrow: Mode,
     smeared: bool,
     narrow_fit: WidthEstimate | None,
     kappa: dict,
@@ -470,9 +467,8 @@ def dimensionality(
     dark_mu = -math.log1p(-dark_occupancy)
 
     def along(axis, other, fit=None):
-        return axis_dimensionality(joints[axis], pitch_um=pitch_um, narrow=narrow,
-                                   kappa=kappa[axis], baseline=kappa[other].size * dark_mu,
-                                   narrow_fit=fit)
+        return axis_dimensionality(joints[axis], pitch_um=pitch_um, kappa=kappa[axis],
+                                   baseline=kappa[other].size * dark_mu, narrow_fit=fit)
 
     col = along("col", "row", narrow_fit)
     row = replace(col, substituted_from="col") if smeared else along("row", "col")
@@ -486,7 +482,11 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
     """Pool block-level joints as if the blocks were one contiguous stack."""
     if not parts:
         raise ParameterError("no joint blocks to combine")
+    mode = parts[0].mode
+    if any(p.mode is not mode for p in parts):
+        raise ParameterError("joint blocks on different pair coordinates cannot be pooled")
     return JointDistribution(
+        mode=mode,
         signal=sum(p.signal for p in parts),
         reference=sum(p.reference for p in parts),
         self_counts=sum(p.self_counts for p in parts),

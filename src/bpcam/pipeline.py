@@ -335,11 +335,11 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
 
     # the point figures and every bootstrap resample come from these two estimators
     def fit_variance(joints):
-        return inferred_variance(joints["col"], mode, pitch_um=pitch, scale=scale)
+        return inferred_variance(joints["col"], pitch_um=pitch, scale=scale)
 
     def fit_dimensionality(joints, cond_var):
         # the column's narrow fit is the inferred variance's, made with the same arguments
-        return dimensionality(joints, pitch_um=pitch, narrow=mode, smeared=smeared,
+        return dimensionality(joints, pitch_um=pitch, smeared=smeared,
                               narrow_fit=cond_var.width if cond_var else None,
                               kappa=kappa, dark_occupancy=config.target_occupancy)
 

@@ -424,14 +424,14 @@ def test_joint_excess_removes_self_pairs(rng):
         joint = block_joint(counts, mode)
         return joint.signal / n - joint.reference / (n - 1)
 
-    axis, removed = joint_excess_histogram(block_joint(counts, Mode.DIFFERENCE), Mode.DIFFERENCE)
+    axis, removed = joint_excess_histogram(block_joint(counts, Mode.DIFFERENCE))
     kept_diff = kept(Mode.DIFFERENCE)
     zero = np.where(axis == 0)[0][0]
     assert kept_diff[zero] - removed[zero] == pytest.approx(1.0)
     off_zero = axis != 0
     np.testing.assert_allclose(kept_diff[off_zero], removed[off_zero])
     # on the sum axis a photon in pixel a pairs with itself at a + b = 2a
-    axis, removed = joint_excess_histogram(block_joint(counts, Mode.SUM), Mode.SUM)
+    axis, removed = joint_excess_histogram(block_joint(counts, Mode.SUM))
     assert axis.tolist() == list(range(2 * w - 1))
     np.testing.assert_allclose(kept(Mode.SUM) - removed,
                                np.bincount(2 * cols, minlength=2 * w - 1) / n)

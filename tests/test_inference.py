@@ -183,7 +183,7 @@ def test_saturation_factors_correct_each_bin():
 def singles_joint(fired, n_frames):
     """A joint whose single-photon counts are the column sums of `fired`."""
     w = fired.shape[1]
-    return JointDistribution(signal=np.zeros(2 * w - 1, dtype=np.int64),
+    return JointDistribution(mode=Mode.DIFFERENCE, signal=np.zeros(2 * w - 1, dtype=np.int64),
                              reference=np.zeros(2 * w - 1, dtype=np.int64),
                              self_counts=fired.sum(axis=0), n_frames=n_frames,
                              n_reference_pairs=n_frames - 1)
@@ -247,6 +247,7 @@ def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0,
     # the signal holds the self-pairs too, on a = b, as the accumulator's does
     counts = np.rint(scale * density).astype(np.int64) + np.diag(singles.astype(np.int64))
     return JointDistribution(
+        mode=mode,
         signal=pair_histogram(counts, mode),
         reference=np.zeros(2 * w - 1, dtype=np.int64),
         self_counts=singles.astype(np.int64),
@@ -265,7 +266,7 @@ def flat_kappa(joints):
 
 def test_fit_joint_width_difference():
     joint = synthetic_joint()
-    w = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
+    w = fit_joint_width(joint, 16.0)
     assert w.fit.sigma == pytest.approx(3.0, rel=0.02)
     assert w.sigma_um == pytest.approx(16.0 * math.sqrt(w.fit.sigma**2 - PIXEL_VAR_PAIR))
 
@@ -275,15 +276,15 @@ def test_fit_joint_width_ignores_the_zero_offset_bin():
     joint = synthetic_joint()
     crippled = synthetic_joint()
     crippled.signal[200] = 0  # kill every b - a = 0 count (W = 201)
-    a = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
-    b = fit_joint_width(crippled, Mode.DIFFERENCE, 16.0)
+    a = fit_joint_width(joint, 16.0)
+    b = fit_joint_width(crippled, 16.0)
     assert b.fit.sigma == pytest.approx(a.fit.sigma, rel=1e-9)
 
 
 def test_fit_joint_width_sum():
     """Anti-correlated coordinates: the narrow peak sits in a + b, self-pairs removed."""
     joint = synthetic_joint(sigma_narrow=30.0, sigma_broad=1.5, mode=Mode.SUM)
-    w = fit_joint_width(joint, Mode.SUM, 16.0)
+    w = fit_joint_width(joint, 16.0)
     # the a + b histogram carries twice the per-coordinate spread
     assert w.fit.sigma == pytest.approx(2.0 * 1.5, rel=0.02)
 
@@ -291,7 +292,7 @@ def test_fit_joint_width_sum():
 def test_inferred_variance_applies_the_optical_scale():
     joint = synthetic_joint()
     scale = 1.0 / 2.5
-    iv = inferred_variance(joint, Mode.DIFFERENCE, pitch_um=16.0, scale=scale)
+    iv = inferred_variance(joint, pitch_um=16.0, scale=scale)
     assert iv.variance == pytest.approx(iv.width.sigma_um**2 * scale**2)
 
 
@@ -302,7 +303,7 @@ def test_epr_product_is_a_plain_product():
 
 def test_axis_dimensionality_counts_resolvable_modes():
     joint = synthetic_joint(sigma_narrow=3.0, sigma_broad=30.0)
-    est = axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE, **NO_SATURATION)
+    est = axis_dimensionality(joint, pitch_um=16.0, **NO_SATURATION)
     assert est.sigma_narrow_um == pytest.approx(3.0 * 16.0, rel=0.02)
     assert est.sigma_broad_um == pytest.approx(60.0 * 16.0, rel=0.02)
     expected_marg = 0.5 * math.hypot(est.sigma_narrow_um, est.sigma_broad_um)
@@ -314,35 +315,34 @@ def test_axis_dimensionality_counts_resolvable_modes():
     assert est.substituted_from is None
     # a narrow fit made beforehand with the same arguments gives the same
     # estimate, and a passed-in fit is used as it is
-    narrow = fit_joint_width(joint, Mode.DIFFERENCE, 16.0)
-    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE,
-                               narrow_fit=narrow, **NO_SATURATION) == est
+    narrow = fit_joint_width(joint, 16.0)
+    assert axis_dimensionality(joint, pitch_um=16.0, narrow_fit=narrow, **NO_SATURATION) == est
     wider = dataclasses.replace(narrow, fit=dataclasses.replace(narrow.fit,
                                                                 sigma=1.1 * narrow.fit.sigma))
-    assert axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.DIFFERENCE, narrow_fit=wider,
+    assert axis_dimensionality(joint, pitch_um=16.0, narrow_fit=wider,
                                **NO_SATURATION).sigma_narrow_um == 1.1 * narrow.fit.sigma * 16.0
 
 
 def test_axis_dimensionality_rejects_inverted_ordering():
     joint = synthetic_joint(mode=Mode.SUM)
     with pytest.raises(AnalysisError, match="inverted"):
-        axis_dimensionality(joint, pitch_um=16.0, narrow=Mode.SUM, **NO_SATURATION)
+        axis_dimensionality(joint, pitch_um=16.0, **NO_SATURATION)
 
 
 def test_dimensionality_products_and_substitution():
     joints = {"col": synthetic_joint(), "row": synthetic_joint()}
-    est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+    est = dimensionality(joints, pitch_um=16.0, smeared=False,
                          narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
     assert list(est.axes) == ["col", "row"]
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
     # a narrow fit made beforehand with the same arguments is reused as it is
-    narrow = fit_joint_width(joints["col"], Mode.DIFFERENCE, 16.0)
-    assert dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+    narrow = fit_joint_width(joints["col"], 16.0)
+    assert dimensionality(joints, pitch_um=16.0, smeared=False,
                           narrow_fit=narrow, kappa=flat_kappa(joints), dark_occupancy=0.0) == est
 
     # a smeared plane's row reuses the column's estimate and never reads its own joint
     sub = dimensionality({"col": joints["col"], "row": None}, pitch_um=16.0,
-                         narrow=Mode.DIFFERENCE, smeared=True, narrow_fit=None,
+                         smeared=True, narrow_fit=None,
                          kappa=flat_kappa(joints), dark_occupancy=0.0)
     assert list(sub.axes) == ["col", "row"]
     assert sub.axes["row"].substituted_from == "col"
@@ -353,7 +353,7 @@ def test_dimensionality_products_and_substitution():
 def test_dimensionality_coverage_uses_each_axis_width():
     """A non-square region: the column joint spans 201 pixels, the row joint 151."""
     joints = {"col": synthetic_joint(w=201), "row": synthetic_joint(w=151)}
-    est = dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+    est = dimensionality(joints, pitch_um=16.0, smeared=False,
                          narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
     for axis, width in (("col", 201), ("row", 151)):
         ax = est.axes[axis]
@@ -448,7 +448,7 @@ def test_blocks_pool_back_to_the_point_mode_count():
 
     def mode_count(blocks):
         joints = {ax: combine_joints(blk) for ax, blk in blocks.items()}
-        return dimensionality(joints, pitch_um=16.0, narrow=Mode.DIFFERENCE, smeared=False,
+        return dimensionality(joints, pitch_um=16.0, smeared=False,
                               narrow_fit=None, kappa=kappa, dark_occupancy=0.02).d_total
 
     point = mode_count(res.blocks)
@@ -473,6 +473,11 @@ def test_make_blocks_validation():
     with pytest.raises(ParameterError, match="at least 10"):
         block_bootstrap(poisson_blocks(n_blocks=2), lambda joints: {}, n_boot=5)
     assert combine_joints(poisson_blocks(n_blocks=2)["col"]).n_frames == 40
+    # a joint carries its pair coordinate, and joints on different ones do not pool
+    parts = poisson_blocks(n_blocks=2)["col"]
+    assert combine_joints(parts).mode is Mode.DIFFERENCE
+    with pytest.raises(ParameterError, match="different pair coordinates"):
+        combine_joints([parts[0], dataclasses.replace(parts[1], mode=Mode.SUM)])
     # a stack too short for its blocks is a failed estimate, not a caller mistake
     with pytest.raises(AnalysisError, match="too few"):
         make_blocks(12, 10)
