@@ -12,10 +12,11 @@ At the default epsilon = 0.02 intact pairs are suppressed 40x relative to
 the reference run (0.8 / 0.02 in rate, at equal detected flux).  That does
 not bury the correlation peaks at these frame counts: at the defaults
 (2,000 frames, seed 12) the script prints peak SNRs of about 12 (image) and
-20 (far field), well above the gate of 5.  The EPR flag stays off there only
-because the far-field joint fit fails (its width falls below the
-pixel-binning floor, so Var(p1|p2) is infinite); with --frames 3000
---seed 7 the flag comes on.
+20 (far field), well above the gate of 5, and an EPR product of 4.0e-4
+hbar^2, so the flag comes on.  The pairs that survive are entangled, and
+that verdict is right: this run shows how far the peaks fall, not a state
+the verdict must reject.  With 12 frames (acceptance criterion 4) the
+peaks drown and the flag stays off.
 """
 
 import argparse

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Seeded sweep of the mode counts and their widths against the closed form.
+"""Seeded sweep of the report's figures against the closed form.
 
 For each seed, simulates the reference configuration at reduced scale
 (2,000 frames per plane, 400 darks, 100 bootstrap resamples), analyses it, and records per seed:
 
+  * the narrow figures (sigma_pos_um, sigma_mom_um, cond_var_x_um2,
+    cond_var_p_hbar2_per_um2, epr_product_hbar2) and their bootstrap
+    errors, beside `predict`'s closed forms;
   * d_pos, d_mom and their bootstrap errors, and the failed resamples of
     each plane;
   * each axis's sigma_broad_um and sigma_marginal_um from the report's
@@ -13,9 +16,11 @@ For each seed, simulates the reference configuration at reduced scale
     widths of each plane.
 
 Everything goes to one JSON file, with the median and range over the seeds
-of each figure's ratio to its closed form.  The script reads only report
-keys that every version of the analysis since the mode counts were added
-writes, so it runs unchanged on an older checkout:
+of each figure's ratio to its closed form, the median of |ratio - 1|, and
+for the narrow figures the share of seeds whose closed form lies within
+two bootstrap errors.  The script reads only report keys that every
+version of the analysis since the mode counts were added writes, so it
+runs unchanged on an older checkout:
 
     PYTHONPATH=src python3 scripts/sweep_mode_counts.py --seeds 1-10 --out sweep.json
 
@@ -35,6 +40,9 @@ from bpcam import RunConfig
 from bpcam.pipeline import run
 
 PLANES = (("image", "pos"), ("farfield", "mom"))
+#: the narrow figures, each under the same key in the report and in `predict`'s closed form
+NARROW = ("sigma_pos_um", "sigma_mom_um", "cond_var_x_um2", "cond_var_p_hbar2_per_um2",
+          "epr_product_hbar2")
 #: the reduced scale of every seed: frames per plane, dark frames, bootstrap resamples
 SETTINGS = {"frames": 2000, "dark_frames": 400, "bootstrap": 100}
 
@@ -49,7 +57,8 @@ def parse_seeds(text: str) -> list:
 
 
 def closed_forms(cfg: RunConfig, prediction: dict) -> dict:
-    """Broad and marginal widths (um) per plane, and the coverage-corrected mode counts.
+    """The narrow figures, and per plane the broad and marginal widths (um)
+    and the coverage-corrected mode count.
 
     The coverage is that of criterion 7: the share of each plane's
     single-photon marginal, of width half the root sum of squares of the
@@ -59,7 +68,7 @@ def closed_forms(cfg: RunConfig, prediction: dict) -> dict:
     ff = cfg.effective_focal / cfg.source().wavenumber
     minus, plus = prediction["sigma_minus_um"], prediction["sigma_plus_um"]
     extent_um = cfg.roi_width * cfg.pixel_pitch  # square roi
-    out = {}
+    out = {"narrow": {key: prediction[key] for key in NARROW}}
     for (plane, coord), (narrow, broad) in zip(PLANES, ((mag * minus, mag * plus),
                                                         (ff / plus, ff / minus))):
         marginal = 0.5 * math.hypot(narrow, broad)
@@ -74,9 +83,16 @@ def one_seed(cfg: RunConfig) -> dict:
         t0 = time.perf_counter()
         _, products = run(cfg, work)
         wall = time.perf_counter() - t0
-    report = products.report.as_dict()
-    row = {"seed": cfg.seed, "wall_s": wall,
-           "closed_form": closed_forms(cfg, report["prediction"])}
+    return row_of(cfg, products.report.as_dict(), wall)
+
+
+def row_of(cfg: RunConfig, report: dict, wall_s: float) -> dict:
+    """One seed's record from its report (`EprReport.as_dict()`)."""
+    nan = float("nan")
+    row = {"seed": cfg.seed, "wall_s": wall_s,
+           "closed_form": closed_forms(cfg, report["prediction"]),
+           "narrow": {key: {"value": report[key], "err": report["errors"].get(key, nan)}
+                      for key in NARROW}}
     for plane, coord in PLANES:
         detail = report["detail"]
         dims = detail.get(f"dimensionality_{plane}", {})
@@ -92,9 +108,13 @@ def one_seed(cfg: RunConfig) -> dict:
 
 
 def summarise(rows: list) -> dict:
-    """Median, min and max over the seeds of each figure / its closed form."""
+    """Median, min and max over the seeds of each figure / its closed form,
+    the median of |ratio - 1|, and for the narrow figures the median error
+    and the share of seeds whose closed form lies within two errors."""
     ratios: dict = {}
     for row in rows:
+        for key, got in row["narrow"].items():
+            ratios.setdefault(key, []).append(got["value"] / row["closed_form"]["narrow"][key])
         for plane, coord in PLANES:
             want = row["closed_form"][plane]
             got = row[plane]
@@ -108,7 +128,14 @@ def summarise(rows: list) -> dict:
         out[key] = {"median": statistics.median(finite) if finite else float("nan"),
                     "min": min(finite, default=float("nan")),
                     "max": max(finite, default=float("nan")),
+                    "median_abs_dev": (statistics.median(abs(v - 1.0) for v in finite)
+                                       if finite else float("nan")),
                     "n_finite": len(finite)}
+    for key in NARROW:
+        pairs = [(row["narrow"][key], row["closed_form"]["narrow"][key]) for row in rows]
+        out[key]["err_median"] = statistics.median(got["err"] for got, _ in pairs)
+        out[key]["within_2se"] = sum(abs(got["value"] - want) <= 2.0 * got["err"]
+                                     for got, want in pairs) / len(rows)
     for plane, coord in PLANES:
         errs = [row[plane][f"d_{coord}_err"] for row in rows]
         out[f"d_{coord}_err"] = {"median": statistics.median(errs)}
@@ -130,7 +157,9 @@ def main(argv=None) -> int:
                                   n_bootstrap=SETTINGS["bootstrap"])
         row = one_seed(cfg)
         rows.append(row)
-        print(f"seed {seed}: d_pos {row['image']['d_pos']:.0f} "
+        epr = row["narrow"]["epr_product_hbar2"]
+        print(f"seed {seed}: EPR product {epr['value']:.4g} +- {epr['err']:.2g}, "
+              f"d_pos {row['image']['d_pos']:.0f} "
               f"+- {row['image']['d_pos_err']:.0f}, d_mom {row['farfield']['d_mom']:.0f} "
               f"+- {row['farfield']['d_mom_err']:.0f}, failed resamples "
               f"{row['image']['resamples_failed']}/{row['farfield']['resamples_failed']} "

@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 from .config import RunConfig
 from .correlate import (
     CorrelationMap,
-    JointDistribution,
+    MapCut,
     Mode,
     StackAccumulator,
     StackResult,
     SubtractedMap,
-    joint_excess_histogram,
-    pair_histogram,
+    central_cuts,
     peak_snr,
     subtract,
 )
@@ -43,13 +42,11 @@ from .inference import (
     DimensionalityEstimate,
     EprReport,
     GaussianFit,
-    InferredVariance,
     block_bootstrap,
-    combine_joints,
+    combine_cuts,
     dimensionality,
     epr_product,
     fit_gaussian,
-    fit_joint_width,
     fit_map_width,
     inferred_variance,
     make_blocks,

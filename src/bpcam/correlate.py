@@ -30,18 +30,20 @@ Two interchangeable accumulation routes are kept deliberately:
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
-same pass cuts the stack into the bootstrap's blocks: it holds one block's
-per-frame row/column marginals at a time, and when the block's last frame
-arrives it turns them into exact joint distributions over pixel pairs,
-collapsed at once onto the accumulator's pair coordinate, for
-conditional-variance work.  It also counts the frames in which each pixel
-fired, once for the whole stack: the single-photon profile.
+same pass cuts the stack into the bootstrap's blocks.  A block keeps the
+map's central cut, the row and the column through the expected peak, and
+its frames' photon totals per pixel column and row: at each block edge the
+accumulator reads the cut of its running sums, the spectral part by
+projection-slice (one row or column of a 2-D inverse transform is a 1-D
+inverse of the phase-weighted spectrum), and a block's cut is the
+difference of consecutive readings.  It also counts the frames in which
+each pixel fired, once for the whole stack: the single-photon profile.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -99,48 +101,38 @@ class SubtractedMap:
 
 
 @dataclass
-class JointDistribution:
-    """Ordered pair counts over one transverse axis, by the pair coordinate `mode`.
+class MapCut:
+    """Pair counts along one line of a map through its expected peak.
 
-    For a pair whose first photon is in pixel a and second in pixel b,
-    `signal` and `reference` count it in bin b - a + W - 1
-    (Mode.DIFFERENCE) or a + b (Mode.SUM): int64 arrays of 2W - 1 bins.
-    `signal` includes the same-photon (self) pairs, which land on a = b;
-    their per-pixel total is `self_counts`, so downstream users can remove
-    the artifact exactly (the accidental reference never cancels it).
-    A joint does not name its axis: callers key it by "col" or "row".
+    Axis "col" is the map's central row H - 1, over the 2W - 1 column pair
+    coordinates; axis "row" is its central column W - 1, over the 2H - 1 row
+    ones (`central_cuts`).  `signal` and `reference` are those bins of the
+    map's two arrays, and `photons` the photons per pixel column (row)
+    summed over the frames: the single-photon profile.  A cut does not name
+    its axis: callers key it by "col" or "row".
     """
 
     mode: Mode
     signal: np.ndarray  # (2W-1,) int64 same-frame ordered pairs
     reference: np.ndarray  # (2W-1,) int64 adjacent-frame ordered pairs
-    self_counts: np.ndarray  # (W,) photons per pixel column/row, summed over frames
+    photons: np.ndarray  # (W,) int64 photons per pixel column/row
     n_frames: int
     n_reference_pairs: int
 
+    def __sub__(self, other: MapCut) -> MapCut:
+        return MapCut(self.mode, *(getattr(self, f.name) - getattr(other, f.name)
+                                   for f in fields(self)[1:]))
 
-def block_joint(counts: np.ndarray, mode: Mode) -> JointDistribution:
-    """Joint pair distribution, on pair coordinate `mode`, of the frames whose
-    marginals are the rows of `counts`.
 
-    `counts[i, a]` is the number of photons of frame i in column (or row) a;
-    the result carries no axis name, so the caller keys it.  float64
-    sums of integer products are exact below 2**53; einsum keeps them off
-    BLAS, whose thread pool would oversubscribe the cores when both planes'
-    analyses run at once.  Each W x W product is collapsed at once, so a
-    joint holds O(W) numbers.
+def central_cuts(a: np.ndarray, roi: tuple[int, int]) -> dict:
+    """{"col": row H - 1, "row": column W - 1} of a (2H-1, 2W-1) map array, as views.
+
+    Both lines pass through bin (H - 1, W - 1), where the genuine peak sits
+    on a difference map (zero offset) and on a sum map (two pixels placed
+    symmetrically about the optical axis, for even and odd sizes alike).
     """
-    if counts.shape[0] < 2:
-        raise ParameterError("a joint distribution needs at least 2 frames")
-    v = counts.astype(np.float64)
-    return JointDistribution(
-        mode=mode,
-        signal=pair_histogram(np.einsum("na,nb->ab", v, v), mode),
-        reference=pair_histogram(np.einsum("na,nb->ab", v[:-1], v[1:]), mode),
-        self_counts=counts.sum(axis=0, dtype=np.int64),
-        n_frames=counts.shape[0],
-        n_reference_pairs=counts.shape[0] - 1,
-    )
+    h, w = roi
+    return {"col": a[h - 1], "row": a[:, w - 1]}
 
 
 @dataclass
@@ -148,9 +140,10 @@ class StackResult:
     """Everything one pass over a frame stack produces."""
 
     map: CorrelationMap
-    blocks: dict  # {"col": [JointDistribution, ...], "row": [...]}, one per block
+    blocks: dict  # {"col": [MapCut, ...], "row": [...]}, one per block
     ones_per_frame: np.ndarray  # (N,) int64
     fired: np.ndarray  # (H, W) int32: the frames in which each pixel fired
+    max_residual: float  # largest distance of a spectral inverse from its integers
 
     @property
     def n_frames(self) -> int:
@@ -194,12 +187,13 @@ class StackAccumulator:
     frame is (re)computed on demand.
 
     `block_edges` (0 = e_0 < e_1 < ... < e_K, each block >= 2 frames) cuts
-    the stack into blocks [e_k, e_k+1): the row and column marginals of the
-    current block's frames are held until its last frame arrives, then
-    collapse into one `JointDistribution` per axis (`block_joint`).  The
-    adjacent-frame pairs that straddle an edge are in the map but in no
-    block.  None makes the whole stack one block.  Each pixel's count of
-    fired frames is kept for the whole stack only (`StackResult.fired`).
+    the stack into blocks [e_k, e_k+1), each one `MapCut` per axis: the
+    difference of the running map's central cuts after the block's last
+    frame and after the block before.  The adjacent-frame pair that
+    straddles an edge falls in the later block, so the blocks pool back to
+    the whole map's cuts exactly.  None makes the whole stack one block.
+    Each pixel's count of fired frames is kept for the whole stack only
+    (`StackResult.fired`).
     """
 
     def __init__(self, roi: tuple[int, int], mode: Mode,
@@ -220,6 +214,7 @@ class StackAccumulator:
         self._flat_size = self._map_shape[0] * self._map_shape[1]
         # flat difference bin of a pair with zero offset
         self._centre = (h - 1) * self._map_shape[1] + (w - 1)
+        self._max_residual = 0.0
         # sparse integer accumulators (flat)
         self._sig = np.zeros(self._flat_size, dtype=np.int64)
         self._ref = np.zeros(self._flat_size, dtype=np.int64)
@@ -231,6 +226,21 @@ class StackAccumulator:
         self._spec_sig = np.zeros(spec_shape, dtype=np.float64 if self.mode is Mode.DIFFERENCE
                                   else np.complex128)
         self._spec_ref = np.zeros(spec_shape, dtype=np.complex128)
+        # the padded grid's indices of the map's bins: difference offsets
+        # wrap round it, sums start at 0
+        if self.mode is Mode.DIFFERENCE:
+            self._grid = tuple(np.arange(-(n - 1), n) % p for n, p in zip(self.roi, self._pad))
+        else:
+            self._grid = tuple(np.arange(2 * n - 1) for n in self.roi)
+        # projection-slice weights that turn the spectrum into the inverse's
+        # central row (summed over the row frequency) and central column
+        # (over the column half spectrum, whose bins other than DC and an
+        # even length's Nyquist stand for two)
+        (p0, p1), (r0, c0) = self._pad, (int(self._grid[0][h - 1]), int(self._grid[1][w - 1]))
+        kc = np.arange(spec_shape[0])
+        self._row_phase = np.exp(2j * np.pi * (np.arange(p0) * r0 % p0) / p0) / p0
+        self._col_phase = (np.where((kc == 0) | (2 * kc == p1), 1.0, 2.0)
+                           * np.exp(2j * np.pi * (kc * c0 % p1) / p1) / p1)
         # per-frame buffers, reused for every frame: the zero-padded frame as
         # float64 and its row transform (transposed; their pads stay zero),
         # the spectra of this frame and the previous one (they swap each
@@ -247,10 +257,10 @@ class StackAccumulator:
         # previous frame (for the adjacent reference)
         self._prev: dict | None = None
         self._ones: list[int] = []
-        # the current block's per-frame marginals, and the closed blocks' joints
+        # the cuts at the last block edge, and the closed blocks' cuts
         self._block_edges = block_edges
-        self._closing = frozenset(block_edges[1:] if block_edges else ())
-        self._marginals: dict = {"col": [], "row": []}
+        self._closing = frozenset(block_edges[1:-1] if block_edges else ())
+        self._last_cuts: dict | None = None
         self._blocks: dict = {"col": [], "row": []}
         self._fired = np.zeros(self.roi, dtype=np.int32)
         self._finalized = False
@@ -297,10 +307,6 @@ class StackAccumulator:
         n = int(np.count_nonzero(bits))
         self._ones.append(n)
         self._fired += bits
-        self._marginals["col"].append(bits.sum(axis=0, dtype=np.int32))
-        self._marginals["row"].append(bits.sum(axis=1, dtype=np.int32))
-        if len(self._ones) in self._closing:
-            self._close_block()
 
         # frames take turns with the two spectrum buffers
         cur: dict = {"n": n, "bits": bits, "keys": None, "F": None,
@@ -333,31 +339,68 @@ class StackAccumulator:
                 self._any_spectral = True
                 self._tot_ref_spec += prev["n"] * n
         self._prev = cur
+        # after this frame's reference pair: the pair that straddles the edge
+        # falls in the next block
+        if len(self._ones) in self._closing:
+            self._close_block(self._running_cuts())
 
-    def _close_block(self):
-        for axis, rows in self._marginals.items():
-            self._blocks[axis].append(block_joint(np.vstack(rows), self.mode))
-            rows.clear()
+    # -- bootstrap blocks ------------------------------------------------------
+
+    def _cuts(self, sig: dict, ref: dict) -> dict:
+        """{axis: MapCut} of the frames so far, copied from `central_cuts` of both maps."""
+        n = len(self._ones)
+        return {axis: MapCut(self.mode, sig[axis].copy(), ref[axis].copy(),
+                             self._fired.sum(axis=other, dtype=np.int64), n, n - 1)
+                for axis, other in (("col", 0), ("row", 1))}
+
+    def _running_cuts(self) -> dict:
+        """The running map's central cuts: the sparse sums plus the spectral
+        sums' inverse along the two lines only.
+
+        irfft2 inverts the row frequency, then the column half spectrum, so
+        its row r0 is irfft(S @ row_phase) and its column c0 is
+        Re ifft(col_phase @ S) (S held transposed).  The real and imaginary
+        weights apply one at a time, so the float difference signal is
+        reduced in real products and no spectrum-sized copy is made.
+        einsum keeps the products off BLAS, whose thread pool would
+        oversubscribe the cores while both planes accumulate at once.
+        """
+        lines = [central_cuts(acc.reshape(self._map_shape), self.roi)
+                 for acc in (self._sig, self._ref)]
+        if self._any_spectral:
+            p1 = self._pad[1]
+            for line, spec in zip(lines, (self._spec_sig, self._spec_ref)):
+                row, col = (np.einsum(form, spec, phase.real)
+                            + 1j * np.einsum(form, spec, phase.imag)
+                            for form, phase in (("kr,r->k", self._row_phase),
+                                                ("kr,k->r", self._col_phase)))
+                line["col"] = line["col"] + self._rounded(np.fft.irfft(row, n=p1)[self._grid[1]])
+                line["row"] = line["row"] + self._rounded(np.fft.ifft(col).real[self._grid[0]])
+        return self._cuts(*lines)
+
+    def _close_block(self, cuts: dict):
+        last = self._last_cuts
+        for axis, cut in cuts.items():
+            self._blocks[axis].append(cut if last is None else cut - last[axis])
+        self._last_cuts = cuts
 
     # -- finalisation --------------------------------------------------------
 
-    def _invert(self, spec: np.ndarray, expected_total: int) -> np.ndarray:
-        """One inverse transform of a (transposed) spectrum -> integer window,
-        with exactness checks."""
-        full = np.fft.irfft2(spec.T, s=self._pad)
-        if self.mode is Mode.DIFFERENCE:  # offsets wrap round the padded grid
-            h, w = self.roi
-            win = full[np.ix_(np.arange(-(h - 1), h) % self._pad[0],
-                              np.arange(-(w - 1), w) % self._pad[1])]
-        else:
-            win = full[: self._map_shape[0], : self._map_shape[1]]
-        rounded = np.rint(win)
-        resid = np.max(np.abs(win - rounded)) if win.size else 0.0
+    def _rounded(self, values: np.ndarray) -> np.ndarray:
+        """Spectral counts -> int64, checked to lie within RESIDUAL_TOL of integers."""
+        rounded = np.rint(values)
+        resid = float(np.max(np.abs(values - rounded))) if values.size else 0.0
         if resid > RESIDUAL_TOL:
             raise ConsistencyError(
                 f"spectral route produced non-integer counts (residual {resid:.3g})"
             )
-        out = rounded.astype(np.int64)
+        self._max_residual = max(self._max_residual, resid)
+        return rounded.astype(np.int64)
+
+    def _invert(self, spec: np.ndarray, expected_total: int) -> np.ndarray:
+        """One inverse transform of a (transposed) spectrum -> integer window,
+        with exactness checks."""
+        out = self._rounded(np.fft.irfft2(spec.T, s=self._pad)[np.ix_(*self._grid)])
         total = int(out.sum())
         if total != expected_total:
             raise ConsistencyError(
@@ -377,8 +420,6 @@ class StackAccumulator:
                 f"fed {n_frames} frames, but the block edges end at {self._block_edges[-1]}")
         if n_frames < 2:
             raise ParameterError(f"need at least 2 frames, got {n_frames}")
-        if self._block_edges is None:
-            self._close_block()
         ones = np.asarray(self._ones, dtype=np.int64)
         exp_sig, exp_ref = _pair_totals(ones)
         sig = self._sig.reshape(self._map_shape)
@@ -390,7 +431,9 @@ class StackAccumulator:
         if int(sig.sum()) != exp_sig or int(ref.sum()) != exp_ref:
             raise ConsistencyError(f"pair-count conservation failed on the {self.mode.value} map")
         cmap = CorrelationMap(self.mode, sig, ref, n_frames, n_frames - 1, self.roi)
-        return StackResult(cmap, self._blocks, ones, self._fired)
+        # the last block ends on the finished maps
+        self._close_block(self._cuts(central_cuts(sig, self.roi), central_cuts(ref, self.roi)))
+        return StackResult(cmap, self._blocks, ones, self._fired, self._max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +503,14 @@ def peak_snr(sub: SubtractedMap) -> PeakSnr:
 
 
 # ---------------------------------------------------------------------------
-# 1-D histograms from joint distributions
+# pair coordinates
 
 def pair_axis(w: int, mode: Mode) -> np.ndarray:
     """Pair-coordinate grid of a W-pixel axis: b - a in [-(W-1), W-1] or a + b in [0, 2W-2]."""
     return np.arange(-(w - 1), w) if mode is Mode.DIFFERENCE else np.arange(0, 2 * w - 1)
 
 
+# `pair_histogram` stays only because perfbench/tracing.py wraps it by name
 @functools.lru_cache(maxsize=4)
 def _pair_keys(w: int, mode: Mode) -> np.ndarray:
     """`pair_histogram`'s bins of a flattened (W, W) matrix on `mode`, read-only."""
@@ -490,21 +534,3 @@ def pair_histogram(matrix: np.ndarray, mode: Mode) -> np.ndarray:
     counts = np.bincount(_pair_keys(w, mode), weights=m.ravel(), minlength=2 * w - 1)
     return np.rint(counts).astype(np.int64)
 
-
-def joint_excess_histogram(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame pair excess along one axis: signal/N - reference/(N-1).
-
-    Returns (`pair_axis` grid of the joint's mode, excess).  Self-pairs (a photon paired with
-    itself) sit at a = b, so on b - a = 0 or on the even sums a + b = 2a;
-    they are removed exactly, in integers, via the stored per-pixel totals.
-    The accidental reference contains none, so leaving them in would fake a
-    zero-offset (difference) / even-sum (sum) excess.
-    """
-    w = joint.self_counts.size
-    sig = joint.signal.copy()
-    if joint.mode is Mode.DIFFERENCE:
-        sig[w - 1] -= joint.self_counts.sum()
-    else:
-        sig[::2] -= joint.self_counts
-    excess = sig / joint.n_frames - joint.reference / joint.n_reference_pairs
-    return pair_axis(w, joint.mode), excess

@@ -1,19 +1,22 @@
 """Gaussian fits, conditional variances, and entanglement figures of merit.
 
-Everything here consumes the per-frame-normalised pair excesses produced by
-`correlate` (2-D map cross-sections and joint-distribution histograms) and
-turns them into physical numbers:
+Everything here consumes the central cuts of the correlation maps that
+`correlate` accumulates (`MapCut`: the map's row and column through the
+expected peak, with the photon totals per pixel column and row) and turns
+them into physical numbers:
 
-  * fitted transverse correlation widths (position difference, momentum sum),
+  * fitted transverse correlation widths (position difference, momentum
+    sum), one free-offset fit to the per-frame pair excess of a cut,
     corrected for pixel binning;
-  * minimum inferred conditional variances Var(x1|x2), Var(p1|p2) from the
-    pair-coordinate projections of the joint pixel-pair distributions, and
-    their product against the Heisenberg bound of 1/4 (hbar = 1 throughout);
+  * minimum inferred conditional variances Var(x1|x2), Var(p1|p2), the
+    square of that same width scaled back to the source, and their product
+    against the Heisenberg bound of 1/4 (hbar = 1 throughout);
   * an entangled-mode-count estimate per axis from the broad/narrow width
     ratio, the broad width taken from the saturation-corrected
     single-photon profile and the count derated by the fraction of that
     profile the sensor covers;
-  * block-bootstrap standard errors for all of the above.
+  * block-bootstrap standard errors for all of the above: each resample
+    pools the blocks' cuts and calls the point estimators on them.
 
 Claiming an EPR-type violation additionally requires the correlation peaks to
 be statistically significant (`snr_gate`); with no detectable peak the width
@@ -28,13 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .correlate import (
-    JointDistribution,
-    Mode,
-    SubtractedMap,
-    joint_excess_histogram,
-    pair_axis,
-)
+from .correlate import MapCut, SubtractedMap, central_cuts, pair_axis
 from .errors import AnalysisError, FitFailureError, ParameterError
 
 #: variance added to a pair coordinate (sum or difference of two binned values)
@@ -187,9 +184,9 @@ def fit_gaussian(
     """Least-squares Gaussian fit, moment-initialised.
 
     `mask` marks points to exclude (contaminated bins).  `fix_offset` holds
-    the baseline constant instead of fitting it; the per-frame-normalised
-    excess histograms are baseline-free by construction, and fixing the
-    offset keeps wide, window-filling peaks well conditioned.  Raises
+    the baseline constant instead of fitting it, for a known baseline under
+    a wide, window-filling peak, which a free offset would trade off
+    against the width (`fit_singles_profile`).  Raises
     FitFailureError when the optimiser fails or returns a degenerate
     width: sigma on a bound, or a zero amplitude that leaves sigma
     undetermined.
@@ -237,7 +234,7 @@ def fit_gaussian(
 
 
 # ---------------------------------------------------------------------------
-# widths from map cross-sections and joint histograms
+# widths from the central cuts of the maps
 
 @dataclass
 class WidthEstimate:
@@ -257,90 +254,53 @@ def deconvolved_width(fit: GaussianFit, pitch_um: float) -> WidthEstimate:
     return WidthEstimate(math.sqrt(var) * pitch_um, fit)
 
 
-def _width_near_peak(x, y, mask, pitch_um: float,
-                     fix_offset: float | None = None) -> WidthEstimate:
-    """Gaussian width fitted within NARROW_WINDOW_PX of the highest unmasked bin."""
-    peak = x[np.argmax(np.where(mask, -np.inf, y))]
-    keep = np.abs(x - peak) <= NARROW_WINDOW_PX
-    fit = fit_gaussian(x[keep], y[keep], mask=mask[keep], fix_offset=fix_offset)
-    return deconvolved_width(fit, pitch_um)
-
-
 def central_cross_section(sub: SubtractedMap):
     """The map row that the width fits read: (offsets_px, values, mask).
 
-    Both give row H - 1.  On a difference map that is dr = 0: vertical
-    charge smear displaces rows only, so this row is smear-free, and the
-    self-pair bin at zero offset arrives already masked.  On a sum map it
-    is the row sum of two pixels placed symmetrically about the optical
-    axis, for even and odd H alike.  The offsets are the map's column
-    `pair_axis`.
+    Both give row H - 1 (`central_cuts`).  On a difference map that is
+    dr = 0: vertical charge smear displaces rows only, so this row is
+    smear-free, and the self-pair bin at zero offset arrives already
+    masked.  On a sum map it is the row sum of two pixels placed
+    symmetrically about the optical axis, for even and odd H alike.  The
+    offsets are the map's column `pair_axis`.
     """
-    h, w = sub.roi
-    return pair_axis(w, sub.mode).astype(float), sub.values[h - 1], sub.mask[h - 1]
+    return (pair_axis(sub.roi[1], sub.mode).astype(float),
+            *(central_cuts(a, sub.roi)["col"] for a in (sub.values, sub.mask)))
 
 
-def fit_map_width(sub: SubtractedMap, pitch_um: float) -> WidthEstimate:
-    """Correlation width from the central cross-section of a subtracted map,
-    fitted within NARROW_WINDOW_PX of its highest unmasked bin."""
-    return _width_near_peak(*central_cross_section(sub), pitch_um)
+def fit_map_width(cut: MapCut, mask: np.ndarray, pitch_um: float) -> WidthEstimate:
+    """Correlation width of one central cut of a map, pixel binning removed.
 
-
-def fit_joint_width(joint: JointDistribution, pitch_um: float) -> WidthEstimate:
-    """Width of the 1-D pair-coordinate excess derived from a joint distribution.
-
-    The peak is fitted with a plain Gaussian within NARROW_WINDOW_PX of its
-    highest bin, on the pair coordinate the joint was collapsed onto.
-    Self-pairs are removed exactly.  In DIFFERENCE mode the
-    zero-offset bin is also excluded: a binary pixel cannot fire twice in
-    one frame, so the within-frame distinct-pair count at zero column
-    offset falls short of the cross-frame accidental estimate by the summed
-    squared pixel occupancy — a deficit comparable to (far field) or larger
-    than (image plane) the genuine peak.  The baseline is held at zero:
-    accidentals are already subtracted, so any residual offset is noise,
-    and freeing it would make fits of peaks wider than the window
-    degenerate.
+    The per-frame pair excess signal/N - reference/(N-1) is fitted with a
+    Gaussian and a free offset within NARROW_WINDOW_PX of its highest
+    unmasked bin.  `mask` is the same cut of `subtract`'s mask: the
+    self-pair bin of a difference map, and its smear rows on the central
+    column of a smeared one.  Pooled over all blocks the cut is the whole
+    map's, so this fit reads `central_cross_section` for axis "col".
     """
-    axis, hist = joint_excess_histogram(joint)
-    mask = (axis == 0) if joint.mode is Mode.DIFFERENCE else np.zeros(axis.shape, dtype=bool)
-    return _width_near_peak(axis.astype(float), hist, mask, pitch_um, fix_offset=0.0)
+    x = pair_axis(cut.photons.size, cut.mode).astype(float)
+    y = cut.signal / cut.n_frames - cut.reference / cut.n_reference_pairs
+    peak = x[np.argmax(np.where(mask, -np.inf, y))]
+    keep = np.abs(x - peak) <= NARROW_WINDOW_PX
+    return deconvolved_width(fit_gaussian(x[keep], y[keep], mask=mask[keep]), pitch_um)
 
 
 # ---------------------------------------------------------------------------
 # inferred variances and the EPR product
 
-@dataclass
-class InferredVariance:
-    """Variance of one photon's coordinate inferred from its partner's.
+def inferred_variance(width: WidthEstimate, scale: float) -> float:
+    """Minimum inferred variance of one photon's coordinate given its partner's.
 
     The estimator is the projection x1_hat = +/- x2: its residual is the
     pair difference (correlated coordinates) or pair sum (anti-correlated
-    ones), whose histogram the whole stack measures with high significance.
-    For a two-mode-squeezed Gaussian state this inferred variance exceeds
-    the true conditional variance only by a factor 1 + (narrow/broad)^2,
-    a few 1e-4 here, so it is both honest (an upper bound can only weaken
-    an apparent violation) and tight.
+    ones), whose width `fit_map_width` measures.  For a two-mode-squeezed
+    Gaussian state this inferred variance exceeds the true conditional
+    variance only by a factor 1 + (narrow/broad)^2, a few 1e-4 here, so it
+    is both honest (an upper bound can only weaken an apparent violation)
+    and tight.  Use scale = 1/M on an image plane (source-plane um^2) and
+    scale = k/f on a far field (hbar^2/um^2): (sigma * scale)^2.
     """
-
-    variance: float  # physical units, set by `scale`
-    width: WidthEstimate  # its sigma_um ** 2 is the detector-plane variance
-
-
-def inferred_variance(
-    joint: JointDistribution,
-    *,
-    pitch_um: float,
-    scale: float,
-) -> InferredVariance:
-    """Minimum inferred variance along one axis from the pair-coordinate fit,
-    made within NARROW_WINDOW_PX of its peak.
-
-    Use a DIFFERENCE joint with scale = 1/M on an image plane (source-plane
-    um^2) and a SUM joint with scale = k/f on a far field (momentum variance
-    in units of hbar^2/um^2).
-    """
-    width = fit_joint_width(joint, pitch_um)
-    return InferredVariance(variance=width.sigma_um ** 2 * scale ** 2, width=width)
+    return (width.sigma_um * scale) ** 2
 
 
 def epr_product(var_x_um2: float, var_p_hbar2_per_um2: float) -> float:
@@ -374,7 +334,7 @@ def saturation_factors(fired: np.ndarray, n_frames: int) -> dict:
     A pixel that fires in a fraction p of the frames (`fired` / `n_frames`)
     received mu = -ln(1 - p) Poisson counts per frame, photons and dark
     counts alike.  A bin that never fired gets kappa = 1.  kappa times a
-    pooled joint's `self_counts` / `n_frames` (its sum of p) is its
+    pooled cut's `photons` / `n_frames` (its sum of p) is its
     saturation-corrected profile; on the whole stack, sum mu.
     """
     p = fired / n_frames
@@ -388,15 +348,14 @@ def saturation_factors(fired: np.ndarray, n_frames: int) -> dict:
     return out
 
 
-def fit_singles_profile(joint: JointDistribution, kappa: np.ndarray,
-                        baseline: float) -> GaussianFit:
-    """Gaussian fit of kappa * `self_counts` / `n_frames`, the corrected singles profile.
+def fit_singles_profile(cut: MapCut, kappa: np.ndarray, baseline: float) -> GaussianFit:
+    """Gaussian fit of kappa * `photons` / `n_frames`, the corrected singles profile.
 
     The offset is held at `baseline`, the dark counts' known share: fitted
     freely, it trades off against the width of a profile that fills the
     field of view.
     """
-    profile = kappa * joint.self_counts / joint.n_frames
+    profile = kappa * cut.photons / cut.n_frames
     if not np.isfinite(profile).all():
         raise AnalysisError("a pixel fired in every frame: its saturation cannot be corrected")
     return fit_gaussian(np.arange(profile.size, dtype=np.float64), profile,
@@ -404,8 +363,9 @@ def fit_singles_profile(joint: JointDistribution, kappa: np.ndarray,
 
 
 def axis_dimensionality(
-    joint: JointDistribution,
+    cut: MapCut,
     *,
+    mask: np.ndarray,
     pitch_um: float,
     kappa: np.ndarray,
     baseline: float,
@@ -413,19 +373,19 @@ def axis_dimensionality(
 ) -> AxisDimensionality:
     """Mode count along one axis: coverage * (broad width / narrow width).
 
-    The narrow width is `fit_joint_width` on the joint's pair coordinate
-    (DIFFERENCE for correlated positions, SUM for anti-correlated momenta),
-    or `narrow_fit` when the caller already made that fit.  The
-    broad one follows from the single-photon width (`fit_singles_profile`)
-    by 4 Var(x1) = Var(x1 + x2) + Var(x1 - x2).  All widths are as
-    detected: binning adds 1/12 px^2 per photon and 1/6 px^2 per pair
-    coordinate, so the identity holds.  The coverage
+    The narrow width is `fit_map_width` of the cut (`mask` its mask), on
+    the map's pair coordinate (DIFFERENCE for correlated positions, SUM for
+    anti-correlated momenta), or `narrow_fit` when the caller already made
+    that fit.  The broad one follows from the single-photon width
+    (`fit_singles_profile`) by 4 Var(x1) = Var(x1 + x2) + Var(x1 - x2).
+    All widths are as detected: binning adds 1/12 px^2 per photon and
+    1/6 px^2 per pair coordinate, so the identity holds.  The coverage
     erf(extent / (2 sqrt(2) sigma_marginal)) is the chance that a photon
-    lands on the joint's pixels at all.
+    lands on the cut's pixel columns (rows) at all.
     """
-    wn = narrow_fit or fit_joint_width(joint, pitch_um)
+    wn = narrow_fit or fit_map_width(cut, mask, pitch_um)
     narrow_um = wn.fit.sigma * pitch_um
-    marg_um = fit_singles_profile(joint, kappa, baseline).sigma * pitch_um
+    marg_um = fit_singles_profile(cut, kappa, baseline).sigma * pitch_um
     broad_var = 4.0 * marg_um ** 2 - narrow_um ** 2
     if broad_var <= narrow_um ** 2:
         raise AnalysisError(
@@ -433,7 +393,7 @@ def axis_dimensionality(
             f"fitted {narrow_um:.3g} um against a single-photon width of {marg_um:.3g} um"
         )
     broad_um = math.sqrt(broad_var)
-    extent_px = joint.self_counts.size
+    extent_px = cut.photons.size
     coverage = math.erf(extent_px * pitch_um / (2.0 * math.sqrt(2.0) * marg_um))
     ratio = broad_um / narrow_um
     return AxisDimensionality(
@@ -447,8 +407,9 @@ def axis_dimensionality(
 
 
 def dimensionality(
-    joints: dict,
+    cuts: dict,
     *,
+    masks: dict,
     pitch_um: float,
     smeared: bool,
     narrow_fit: WidthEstimate | None,
@@ -457,18 +418,19 @@ def dimensionality(
 ) -> DimensionalityEstimate:
     """Total mode count as the product of the column and row estimates.
 
-    `joints` holds the "col" and "row" joints and `kappa` their
-    `saturation_factors`.  Darks fire each pixel in a fraction
+    `cuts` holds the "col" and "row" cuts, `masks` their masks and `kappa`
+    their `saturation_factors`.  Darks fire each pixel in a fraction
     `dark_occupancy` of the frames, so an axis's profile sits on
     -ln(1 - dark_occupancy) times the other axis's pixel count.  On a
-    `smeared` plane the row reuses the column's estimate and its row joint
+    `smeared` plane the row reuses the column's estimate and its row cut
     is not read.  `narrow_fit` is the column's, or None.
     """
     dark_mu = -math.log1p(-dark_occupancy)
 
     def along(axis, other, fit=None):
-        return axis_dimensionality(joints[axis], pitch_um=pitch_um, kappa=kappa[axis],
-                                   baseline=kappa[other].size * dark_mu, narrow_fit=fit)
+        return axis_dimensionality(cuts[axis], mask=masks[axis], pitch_um=pitch_um,
+                                   kappa=kappa[axis], baseline=kappa[other].size * dark_mu,
+                                   narrow_fit=fit)
 
     col = along("col", "row", narrow_fit)
     row = replace(col, substituted_from="col") if smeared else along("row", "col")
@@ -478,18 +440,18 @@ def dimensionality(
 # ---------------------------------------------------------------------------
 # block bootstrap
 
-def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
-    """Pool block-level joints as if the blocks were one contiguous stack."""
+def combine_cuts(parts: list[MapCut]) -> MapCut:
+    """Pool block-level cuts as if the blocks were one contiguous stack."""
     if not parts:
-        raise ParameterError("no joint blocks to combine")
+        raise ParameterError("no cut blocks to combine")
     mode = parts[0].mode
     if any(p.mode is not mode for p in parts):
-        raise ParameterError("joint blocks on different pair coordinates cannot be pooled")
-    return JointDistribution(
+        raise ParameterError("cut blocks on different pair coordinates cannot be pooled")
+    return MapCut(
         mode=mode,
         signal=sum(p.signal for p in parts),
         reference=sum(p.reference for p in parts),
-        self_counts=sum(p.self_counts for p in parts),
+        photons=sum(p.photons for p in parts),
         n_frames=sum(p.n_frames for p in parts),
         n_reference_pairs=sum(p.n_reference_pairs for p in parts),
     )
@@ -498,12 +460,11 @@ def combine_joints(parts: list[JointDistribution]) -> JointDistribution:
 def make_blocks(n_frames: int, n_blocks: int) -> np.ndarray:
     """Edges 0 = e_0 < ... < e_n_blocks = n_frames of contiguous bootstrap blocks.
 
-    `StackAccumulator(block_edges=...)` cuts its joints on them.  Pooling
-    the blocks of an axis with `combine_joints` reproduces the full-stack
-    joint up to the n_blocks - 1 adjacent-frame reference pairs that
-    straddle block edges (the normalisation accounts for the dropped
-    pairs).  A stack with fewer than two frames per block raises
-    AnalysisError.
+    `StackAccumulator(block_edges=...)` reads its map's central cuts on
+    them.  Pooling the blocks of an axis with `combine_cuts` reproduces
+    the whole map's cut exactly: each adjacent-frame reference pair that
+    straddles an edge belongs to the later block.  A stack with fewer than
+    two frames per block raises AnalysisError.
     """
     if n_blocks < 1:
         raise ParameterError(f"need at least 1 block, got {n_blocks}")
@@ -528,15 +489,14 @@ def block_bootstrap(
     n_boot: int = 100,
     seed: int = 0,
 ) -> BootstrapResult:
-    """Standard errors of joint-derived statistics by block resampling.
+    """Standard errors of cut-derived statistics by block resampling.
 
-    `blocks` maps each axis to its list of block joints, at least 10, as
+    `blocks` maps each axis to its list of block cuts, at least 10, as
     `StackResult.blocks` holds them for an accumulator given `make_blocks`'
-    edges.
-    Each resample draws blocks with replacement, pools their joint
-    distributions and evaluates `statistic(joints) -> dict[str, float]`;
-    resamples where the statistic raises AnalysisError/FitFailureError are
-    skipped and counted.
+    edges.  Each resample draws blocks with replacement, pools their cuts
+    (`combine_cuts`) and evaluates `statistic(cuts) -> dict[str, float]`,
+    the point estimators on the pooled cuts; resamples where the statistic
+    raises AnalysisError/FitFailureError are skipped and counted.
     """
     n_blocks = {ax: len(b) for ax, b in blocks.items()}
     bset = set(n_blocks.values())
@@ -550,9 +510,9 @@ def block_bootstrap(
     n_failed = 0
     for _ in range(n_boot):
         pick = rng.integers(0, nb, size=nb)
-        joints = {ax: combine_joints([blk[i] for i in pick]) for ax, blk in blocks.items()}
+        cuts = {ax: combine_cuts([blk[i] for i in pick]) for ax, blk in blocks.items()}
         try:
-            stats = statistic(joints)
+            stats = statistic(cuts)
         except (AnalysisError, FitFailureError):
             n_failed += 1
             continue

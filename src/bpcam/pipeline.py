@@ -5,7 +5,9 @@ plane, calibrating the photon-counting threshold so that the darks fire at
 the configured target occupancy.  `analyze` streams the thresholded stacks
 once through the correlation accumulators and produces an `EprReport` with
 the fitted correlation widths, conditional variances, mode counts,
-significance numbers and bootstrap errors.
+significance numbers and bootstrap errors.  Each plane's narrow width and
+conditional variance come from one fit to its map's central row, and every
+bootstrap resample refits the row pooled from resampled blocks.
 
 Every random draw comes from a substream keyed by (seed, plane code, frame
 index), so stacks are bit-reproducible and any frame can be regenerated in
@@ -32,9 +34,11 @@ import numpy as np
 
 from .config import RunConfig
 from .correlate import (
+    RESIDUAL_TOL,
     Mode,
     StackAccumulator,
     SubtractedMap,
+    central_cuts,
     peak_snr,
     subtract,
 )
@@ -53,7 +57,7 @@ from .framestack import (
 from .inference import (
     EprReport,
     block_bootstrap,
-    combine_joints,
+    combine_cuts,
     dimensionality,
     epr_product,
     fit_map_width,
@@ -69,6 +73,8 @@ _PLANE_FILE = {Plane.IMAGE: "image.bpcm", Plane.FAR_FIELD: "farfield.bpcm"}
 _NO_IMPACTS = np.empty((0, 2))
 #: the temporary file a `StackWriter` killed mid-stack leaves beside its stack
 _STALE_TMP = re.compile(r"(dark|image|farfield)\.bpcm\.\d+\.tmp")
+#: the files that describe a finished run: the summary, the reports and the cross-sections
+_RUN_FILES = re.compile(r"sim_summary\.json|report\.(json|txt)|.+_cross_section\.csv")
 
 
 @dataclass
@@ -153,14 +159,16 @@ def simulate(config: RunConfig, out_dir, planes=(Plane.IMAGE, Plane.FAR_FIELD)) 
     plane and one worker process the others (`_over_planes`).  A
     single-plane call starts no process.  The stacks do not depend on which
     planes run together or where.
-    Temporary stack files left in `out_dir` by a killed earlier run are
-    deleted first.
+    Before any stack is written, the temporary stack files of a killed
+    earlier run and the earlier run's summary, reports and cross-sections
+    are deleted from `out_dir`, so a run killed part-way leaves no report
+    beside its new stacks.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob("*.tmp"):
-        if _STALE_TMP.fullmatch(stale.name):
+    for stale in out.iterdir():
+        if _STALE_TMP.fullmatch(stale.name) or _RUN_FILES.fullmatch(stale.name):
             stale.unlink()
     digest = config.sim_digest()
 
@@ -248,10 +256,10 @@ class AnalysisProducts:
 # the difference map, anti-correlated momenta in the sum map.  The names are
 # those of the plane's figures in the warnings, the report and its errors.
 _PLANE_MODE = {Plane.IMAGE: Mode.DIFFERENCE, Plane.FAR_FIELD: Mode.SUM}
-_PLANE_NAMES = {Plane.IMAGE: ("pos", "x", "cond_var_x_um2"),
-                Plane.FAR_FIELD: ("mom", "p", "cond_var_p_hbar2_per_um2")}
+_PLANE_NAMES = {Plane.IMAGE: ("pos", "cond_var_x_um2"),
+                Plane.FAR_FIELD: ("mom", "cond_var_p_hbar2_per_um2")}
 #: the steps of a plane's analysis, in the order the report lists their warnings and records
-_STEPS = ("occupancy", "map fit", "peak snr", "blocks", "inferred variance", "dimensionality",
+_STEPS = ("occupancy", "residual", "map fit", "peak snr", "blocks", "dimensionality",
           "bootstrap")
 
 
@@ -263,9 +271,9 @@ class _PlaneAnalysis:
     map: SubtractedMap
     n_frames: int
     total_ones: int
-    sigma_um: float  # from the map's central cross-section; nan where a step failed
+    sigma_um: float  # from the map's central row; nan where a step failed
     snr: float
-    cond_var: float  # the inferred variance; inf where its fit failed
+    cond_var: float  # the inferred variance, from the same fit; inf where it failed
     d: float  # the mode count
     has_blocks: bool
     errors: dict  # bootstrap standard errors
@@ -283,14 +291,15 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     other plane has blocks too.
     """
     mode = _PLANE_MODE[plane]
-    coord, var, var_key = _PLANE_NAMES[plane]
+    coord, var_key = _PLANE_NAMES[plane]
     name = plane.value
     pitch = config.pixel_pitch
-    # Vertical charge smear contaminates only the image plane's row axis.
-    # Column-axis joints stay clean under it: a daughter keeps its parent's
-    # column, so parent/daughter duplicates land only on the always-masked
-    # zero-difference bin, and daughter/partner pairs replicate the genuine
-    # column statistics (amplitude only).  The row axis reuses the column's.
+    # Vertical charge smear contaminates only the image plane's row axis: a
+    # daughter keeps its parent's column.  Parent/daughter duplicates land on
+    # the dr = +/-1 bins of the map's central column, which `subtract` masks,
+    # and daughter/partner pairs shift the peak in dr only, so the central
+    # row keeps the genuine column statistics.  The row axis reuses the
+    # column's estimate.
     smeared = plane is Plane.IMAGE and config.smear_prob_image > 0.0
     records: dict = {}
     warnings: dict = {}
@@ -302,8 +311,8 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
             warnings[step] = f"{label}: {exc}"
             return None
 
-    # the pass cuts the joints per transverse axis into the bootstrap blocks;
-    # a stack too short for them is one block
+    # the pass cuts the map's central row and column into the bootstrap
+    # blocks; a stack too short for them is one block
     reader = StackReader(paths[plane])
     edges = _try("blocks", f"{name} blocks", lambda: make_blocks(len(reader), config.n_blocks))
     acc = StackAccumulator(config.roi, mode, sparse_threshold=config.sparse_threshold,
@@ -318,46 +327,39 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
         "centre": float(res.fired[h // 2, w // 2] / res.n_frames),
         "max": float(res.fired.max() / res.n_frames),
     })
+    records["residual"] = (f"spectral_residual_{name}",
+                           {"max": res.max_residual, "tolerance": RESIDUAL_TOL})
+    # the pooled blocks are the map's central cuts, and `subtract` masks them
+    cuts = {ax: combine_cuts(blk) for ax, blk in res.blocks.items()}
+    masks = central_cuts(sub.mask, sub.roi)
+    scale = config.optics(plane).detector_to_source_scale(config.source())
+    # the singles profile is corrected with the whole stack's pixel counts
+    kappa = saturation_factors(res.fired, res.n_frames)
 
-    width = _try("map fit", f"sigma_{coord} fit",
-                 lambda: fit_map_width(sub, pitch))
+    # the point figures and every bootstrap resample come from these estimators
+    def fit_width(cuts):
+        return fit_map_width(cuts["col"], masks["col"], pitch)
+
+    def fit_dimensionality(cuts, width):
+        # the column's narrow fit is the width's own, made with the same arguments
+        return dimensionality(cuts, masks=masks, pitch_um=pitch, smeared=smeared,
+                              narrow_fit=width, kappa=kappa,
+                              dark_occupancy=config.target_occupancy)
+
+    def statistic(cuts):
+        width = fit_width(cuts)
+        return {f"sigma_{coord}_um": width.sigma_um, var_key: inferred_variance(width, scale),
+                f"d_{coord}": fit_dimensionality(cuts, width).d_total}
+
+    width = _try("map fit", f"sigma_{coord} fit", lambda: fit_width(cuts))
     if width:
         records["map fit"] = (f"sigma_{coord}_fit",
                               {"sigma_px": width.fit.sigma, **asdict(width.fit)})
     snr = _try("peak snr", f"{name} peak snr", lambda: peak_snr(sub))
     if snr:
         records["peak snr"] = (f"snr_{coord}", asdict(snr))
-    # the pooled blocks drop only the n_blocks - 1 boundary reference pairs
-    joints = {ax: combine_joints(blk) for ax, blk in res.blocks.items()}
-    scale = config.optics(plane).detector_to_source_scale(config.source())
-    # the singles profile is corrected with the whole stack's pixel counts
-    kappa = saturation_factors(res.fired, res.n_frames)
-
-    # the point figures and every bootstrap resample come from these two estimators
-    def fit_variance(joints):
-        return inferred_variance(joints["col"], pitch_um=pitch, scale=scale)
-
-    def fit_dimensionality(joints, cond_var):
-        # the column's narrow fit is the inferred variance's, made with the same arguments
-        return dimensionality(joints, pitch_um=pitch, smeared=smeared,
-                              narrow_fit=cond_var.width if cond_var else None,
-                              kappa=kappa, dark_occupancy=config.target_occupancy)
-
-    def statistic(joints):
-        cond_var = fit_variance(joints)
-        return {f"sigma_{coord}_um": cond_var.width.sigma_um, var_key: cond_var.variance,
-                f"d_{coord}": fit_dimensionality(joints, cond_var).d_total}
-
-    cond_var = _try("inferred variance", f"inferred variance {var}",
-                    lambda: fit_variance(joints))
-    if cond_var:
-        records["inferred variance"] = (f"cond_var_{var}", {
-            "variance_det_um2": cond_var.width.sigma_um ** 2,
-            "sigma_px": cond_var.width.fit.sigma,
-            **asdict(cond_var.width.fit),
-        })
     dims = _try("dimensionality", f"{name} dimensionality",
-                lambda: fit_dimensionality(joints, cond_var))
+                lambda: fit_dimensionality(cuts, width))
     if dims:
         records["dimensionality"] = (f"dimensionality_{name}",
                                      {ax: asdict(est) for ax, est in dims.axes.items()})
@@ -371,7 +373,7 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     nan = float("nan")
     return _PlaneAnalysis(plane, sub, res.n_frames, res.total_ones,
                           width.sigma_um if width else nan, snr.value if snr else nan,
-                          cond_var.variance if cond_var else float("inf"),
+                          inferred_variance(width, scale) if width else float("inf"),
                           dims.d_total if dims else nan,
                           edges is not None, errors, records, warnings)
 

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpcam import Mode, StackAccumulator, peak_snr, subtract
-from bpcam.correlate import (
-    block_joint,
-    joint_excess_histogram,
-    pair_axis,
-    pair_histogram,
-)
+from bpcam.correlate import RESIDUAL_TOL, central_cuts, pair_axis, pair_histogram
 from bpcam.errors import AnalysisError, ConsistencyError, ParameterError
 from bpcam.inference import make_blocks
 
@@ -84,15 +79,24 @@ def collapse(m):
     return {Mode.DIFFERENCE: diff, Mode.SUM: summ}
 
 
-def assert_joint_equals_brute_force(joint, counts, mode):
-    """`joint` against the int64 products of the marginal rows `counts` on `mode`."""
-    b = counts.astype(np.int64)
-    for got, want in ((joint.signal, collapse(b.T @ b)),
-                      (joint.reference, collapse(b[:-1].T @ b[1:]))):
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want[mode])
-    np.testing.assert_array_equal(joint.self_counts, b.sum(axis=0))
-    assert joint.n_frames == len(b) and joint.n_reference_pairs == len(b) - 1
+def assert_block_equals_brute_force(res, k, frames, mode, lo, hi):
+    """Block k, frames [lo, hi), against the brute-force maps' central cuts.
+
+    Its signal holds its own frames' pairs; its reference holds the
+    adjacent-frame pairs whose second frame is one of its own, so a block
+    after the first also holds the pair that straddles its first edge.
+    """
+    signal = brute_force_maps(frames[lo:hi])[mode][0]
+    reference = brute_force_maps(frames[max(lo - 1, 0):hi])[mode][1]
+    roi = frames[0].shape
+    for axis, other in (("col", 0), ("row", 1)):
+        cut = res.blocks[axis][k]
+        assert cut.mode is mode
+        for got, want in ((cut.signal, signal), (cut.reference, reference)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, central_cuts(want, roi)[axis])
+        np.testing.assert_array_equal(cut.photons, np.sum(frames[lo:hi], axis=(0, other + 1)))
+        assert cut.n_frames == hi - lo and cut.n_reference_pairs == hi - max(lo, 1)
 
 
 @pytest.mark.parametrize(
@@ -166,10 +170,11 @@ def test_route_crossings_match_brute_force(rng):
 
 def test_dense_frames_allocate_no_new_spectra(rng):
     # the transforms and products write into buffers made once; a fresh
-    # 405 x 203 spectrum alone would be 1.3 MB
+    # 405 x 203 spectrum alone would be 1.3 MB.  Nor does the block edge at
+    # frame 7 make one: it reads only the spectra's central row and column
     frames = [rng.random((201, 201)) < 0.04 for _ in range(14)]
     for mode in Mode:
-        acc = StackAccumulator((201, 201), mode)
+        acc = StackAccumulator((201, 201), mode, block_edges=(0, 7, 14))
         for f in frames[:4]:
             acc.add(f)
         tracemalloc.start()
@@ -181,7 +186,8 @@ def test_dense_frames_allocate_no_new_spectra(rng):
         finally:
             tracemalloc.stop()
         assert peak - before < 300_000
-        assert acc.finalize().n_frames == 14
+        res = acc.finalize()
+        assert res.n_frames == 14 and len(res.blocks["col"]) == 2
 
 
 def test_pair_totals_conserved(rng):
@@ -230,27 +236,20 @@ def test_axes_and_marginals(rng):
         assert pair_axis(res.map.roi[1], mode).tolist() == list(cols)
         # without block edges the whole stack is one block per axis
         assert [len(b) for b in res.blocks.values()] == [1, 1]
-        for axis, sum_over in (("col", 0), ("row", 1)):
-            counts = np.array([f.sum(axis=sum_over) for f in frames])
-            assert_joint_equals_brute_force(res.blocks[axis][0], counts, mode)
+        assert_block_equals_brute_force(res, 0, frames, mode, 0, len(frames))
         # each pixel's count of fired frames
         assert res.fired.dtype == np.int32
         np.testing.assert_array_equal(res.fired, np.sum(frames, axis=0))
 
 
-def test_joint_distribution_matches_marginal_products(rng):
+def test_block_cuts_match_brute_force(rng):
     frames = random_stack(rng, 6, 7, 5, 0.4)
-    res = run_accumulator(frames, Mode.SUM, block_edges=(0, 2, 5))
-    cols = np.array([f.sum(axis=0) for f in frames])
-    rows = np.array([f.sum(axis=1) for f in frames])
-    for axis, counts in (("col", cols), ("row", rows)):
-        first, second = res.blocks[axis]
-        assert_joint_equals_brute_force(first, counts[:2], Mode.SUM)
-        assert_joint_equals_brute_force(second, counts[2:], Mode.SUM)
-    assert res.blocks["col"][1].n_frames == 3
-
-    with pytest.raises(ParameterError):
-        block_joint(cols[2:3], Mode.SUM)  # single frame
+    for mode in Mode:
+        for threshold in (10**9, 0):
+            res = run_accumulator(frames, mode, sparse_threshold=threshold,
+                                  block_edges=(0, 2, 5))
+            assert_block_equals_brute_force(res, 0, frames, mode, 0, 2)
+            assert_block_equals_brute_force(res, 1, frames, mode, 2, 5)
     for edges in ((0, 1, 5), (1, 5), (0, 3, 2), (0,)):
         with pytest.raises(ParameterError, match="block edges"):
             StackAccumulator((6, 7), Mode.DIFFERENCE, block_edges=edges)
@@ -264,21 +263,6 @@ def test_block_edges_must_match_the_frames_fed(rng):
             acc.add(f)
         with pytest.raises(ConsistencyError, match="block edges end at 6"):
             acc.finalize()
-
-
-def test_accumulator_holds_at_most_one_block_of_marginals(rng):
-    frames = random_stack(rng, 5, 6, 23, 0.3)
-    edges = make_blocks(len(frames), 4)
-    longest = int(np.diff(edges).max())
-    acc = StackAccumulator((5, 6), Mode.SUM, block_edges=edges)
-    held = []
-    for f in frames:
-        acc.add(f)
-        held.append({len(rows) for rows in acc._marginals.values()}.pop())
-    assert max(held) < longest  # a block's last frame closes it at once
-    assert held[-1] == 0
-    res = acc.finalize()
-    assert [blk.n_frames for blk in res.blocks["col"]] == np.diff(edges).tolist()
 
 
 def test_accumulator_guards(rng):
@@ -302,32 +286,49 @@ def test_accumulator_guards(rng):
         StackAccumulator((4, 4), Mode.SUM).finalize()  # no frames
 
 
-def test_joint_is_exact_for_large_counts_over_uneven_blocks(rng):
-    # the products are summed in float64; they must equal the int64 brute
-    # force for counts up to 2**20, on the unequal blocks make_blocks cuts
-    n, w = 53, 7
-    counts = rng.integers(0, 2**20 + 1, size=(n, w)).astype(np.int32)
-    counts[:2] = 2**20
-    edges = make_blocks(n, 10)
+def test_block_cuts_are_exact_over_uneven_blocks(rng):
+    # every frame dense and spectral: each edge reads the cuts of the running
+    # spectral sums, which must round to the brute-force counts on the
+    # unequal blocks make_blocks cuts
+    frames = random_stack(rng, 8, 9, 23, 0.5)
+    edges = make_blocks(len(frames), 10)
     assert len(set(np.diff(edges))) == 2
-    for lo, hi in [(0, n), *zip(edges[:-1], edges[1:])]:
-        for mode in Mode:
-            assert_joint_equals_brute_force(block_joint(counts[lo:hi], mode), counts[lo:hi],
-                                            mode)
+    for mode in Mode:
+        res = run_accumulator(frames, mode, sparse_threshold=0, block_edges=edges)
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            assert_block_equals_brute_force(res, k, frames, mode, lo, hi)
+        assert 0.0 < res.max_residual < RESIDUAL_TOL
+
+
+def test_a_doctored_spectrum_fails_at_the_block_edge(rng):
+    """A spectrum whose inverse is off the integers raises at the next
+    edge's reading, not only at `finalize`."""
+    frames = random_stack(rng, 8, 9, 8, 0.5)
+    for mode in Mode:
+        acc = StackAccumulator((8, 9), mode, sparse_threshold=0, block_edges=(0, 4, 8))
+        for f in frames[:2]:
+            acc.add(f)
+        # one frequency bin off: a plane wave of amplitude 0.6 in the inverse
+        acc._spec_sig[1, 1] += 0.3 * np.prod(acc._pad)
+        acc.add(frames[2])
+        with pytest.raises(ConsistencyError, match="non-integer"):
+            acc.add(frames[3])
 
 
 def test_blocks_of_a_wide_stack_hold_o_w_numbers(rng):
-    # each block keeps 1-D histograms over the 2W - 1 bins of its pair
-    # coordinate, not W x W matrices: 2 (2W - 1) pair counts and W self-pair
-    # totals
-    w = 201
-    counts = rng.poisson(8.0, size=(40, w)).astype(np.int32)
-    edges = make_blocks(len(counts), 10)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        blk = block_joint(counts[lo:hi], Mode.SUM)
-        arrays = [blk.signal, blk.reference, blk.self_counts]
-        assert all(a.ndim == 1 for a in arrays)
-        assert sum(a.size for a in arrays) == 2 * (2 * w - 1) + w
+    # each block keeps the 2W - 1 bins of the map's central row (2H - 1 of
+    # its column), signal and reference, and W (H) photon totals, not W x W
+    # matrices or per-frame marginals; a block's last frame closes it at once
+    h, w = 151, 201
+    frames = random_stack(rng, h, w, 23, 0.002)
+    edges = make_blocks(len(frames), 4)
+    res = run_accumulator(frames, Mode.SUM, block_edges=edges)
+    for axis, n in (("col", w), ("row", h)):
+        assert [blk.n_frames for blk in res.blocks[axis]] == np.diff(edges).tolist()
+        for blk in res.blocks[axis]:
+            arrays = [blk.signal, blk.reference, blk.photons]
+            assert all(a.ndim == 1 for a in arrays)
+            assert sum(a.size for a in arrays) == 2 * (2 * n - 1) + n
 
 
 def test_add_accepts_array_likes(rng):
@@ -411,27 +412,16 @@ def test_pair_histogram_oracle(rng):
         pair_histogram(np.zeros((3, 4)), Mode.SUM)
 
 
-def test_joint_excess_removes_self_pairs(rng):
-    """With one photon per frame there are no genuine within-frame pairs:
-    after self-pair removal the zero-offset bin must drop by exactly one
-    count per frame."""
-    n, w = 6, 9
-    counts = np.zeros((n, w), dtype=np.int32)
-    cols = rng.integers(0, w, size=n)
-    counts[np.arange(n), cols] = 1
-
-    def kept(mode):  # the excess with the self-pairs left in
-        joint = block_joint(counts, mode)
-        return joint.signal / n - joint.reference / (n - 1)
-
-    axis, removed = joint_excess_histogram(block_joint(counts, Mode.DIFFERENCE))
-    kept_diff = kept(Mode.DIFFERENCE)
-    zero = np.where(axis == 0)[0][0]
-    assert kept_diff[zero] - removed[zero] == pytest.approx(1.0)
-    off_zero = axis != 0
-    np.testing.assert_allclose(kept_diff[off_zero], removed[off_zero])
-    # on the sum axis a photon in pixel a pairs with itself at a + b = 2a
-    axis, removed = joint_excess_histogram(block_joint(counts, Mode.SUM))
-    assert axis.tolist() == list(range(2 * w - 1))
-    np.testing.assert_allclose(kept(Mode.SUM) - removed,
-                               np.bincount(2 * cols, minlength=2 * w - 1) / n)
+def test_self_pairs_fall_in_the_masked_bin_of_the_cuts(rng):
+    """With one photon per frame every within-frame pair is a self-pair: on
+    a difference map they all land on the zero-offset bin, one per frame,
+    which `subtract` masks on both central cuts."""
+    n, h, w = 6, 5, 9
+    frames = [frame_with(rng, h, w, 1) for _ in range(n)]
+    res = run_accumulator(frames, Mode.DIFFERENCE)
+    masks = central_cuts(subtract(res.map).mask, res.map.roi)
+    for axis, (cut,) in res.blocks.items():
+        zero = np.flatnonzero(pair_axis(cut.photons.size, Mode.DIFFERENCE) == 0)
+        assert np.flatnonzero(masks[axis]).tolist() == zero.tolist()
+        assert cut.signal[zero].tolist() == [n]
+        assert np.delete(cut.signal, zero).sum() == 0

@@ -11,29 +11,31 @@ from bpcam import (
     EprReport,
     Mode,
     block_bootstrap,
-    combine_joints,
+    combine_cuts,
     dimensionality,
     epr_product,
     fit_gaussian,
-    fit_joint_width,
     fit_map_width,
     inferred_variance,
     make_blocks,
 )
 from bpcam.correlate import (
-    JointDistribution,
+    CorrelationMap,
+    MapCut,
     StackAccumulator,
-    SubtractedMap,
-    block_joint,
-    pair_histogram,
+    central_cuts,
+    pair_axis,
+    subtract,
 )
 from bpcam.errors import AnalysisError, FitFailureError, ParameterError
 from bpcam import inference
 from bpcam.correlate import next_fast_len
 from bpcam.inference import (
     MAX_NFEV_PER_PARAM,
+    NARROW_WINDOW_PX,
     PIXEL_VAR_PAIR,
     axis_dimensionality,
+    central_cross_section,
     deconvolved_width,
     fit_singles_profile,
     gaussian,
@@ -180,13 +182,12 @@ def test_saturation_factors_correct_each_bin():
     assert (kappa["col"] >= 1.0).all() and (kappa["row"] >= 1.0).all()
 
 
-def singles_joint(fired, n_frames):
-    """A joint whose single-photon counts are the column sums of `fired`."""
+def singles_cut(fired, n_frames):
+    """A cut whose photon totals are the column sums of `fired`."""
     w = fired.shape[1]
-    return JointDistribution(mode=Mode.DIFFERENCE, signal=np.zeros(2 * w - 1, dtype=np.int64),
-                             reference=np.zeros(2 * w - 1, dtype=np.int64),
-                             self_counts=fired.sum(axis=0), n_frames=n_frames,
-                             n_reference_pairs=n_frames - 1)
+    return MapCut(mode=Mode.DIFFERENCE, signal=np.zeros(2 * w - 1, dtype=np.int64),
+                  reference=np.zeros(2 * w - 1, dtype=np.int64), photons=fired.sum(axis=0),
+                  n_frames=n_frames, n_reference_pairs=n_frames - 1)
 
 
 def test_singles_profile_recovers_the_marginal_width():
@@ -201,9 +202,9 @@ def test_singles_profile_recovers_the_marginal_width():
     g = np.exp(-0.5 * (r**2 + c**2) / sigma**2)
     p = 1.0 - (1.0 - p0) * np.exp(-0.16 * g)  # 16 % at the centre
     fired = np.rint(n_frames * p).astype(np.int64)
-    joint = singles_joint(fired, n_frames)
+    cut = singles_cut(fired, n_frames)
     baseline = h * -math.log1p(-p0)
-    fit = fit_singles_profile(joint, saturation_factors(fired, n_frames)["col"], baseline)
+    fit = fit_singles_profile(cut, saturation_factors(fired, n_frames)["col"], baseline)
     assert fit.sigma == pytest.approx(sigma, rel=0.01)
     assert fit.center == pytest.approx((w - 1) / 2, abs=0.01)
     raw = fit_gaussian(np.arange(w), fired.sum(axis=0) / n_frames, fix_offset=h * p0)
@@ -214,7 +215,7 @@ def test_singles_profile_of_a_pixel_fired_in_every_frame_is_an_analysis_error():
     fired = np.full((5, 9), 3)
     fired[2, 4] = 10
     with pytest.raises(AnalysisError, match="every frame"):
-        fit_singles_profile(singles_joint(fired, 10), saturation_factors(fired, 10)["col"], 0.1)
+        fit_singles_profile(singles_cut(fired, 10), saturation_factors(fired, 10)["col"], 0.1)
 
 
 def test_deconvolved_width_removes_pixel_variance(rng):
@@ -231,69 +232,79 @@ def test_deconvolved_width_removes_pixel_variance(rng):
         deconvolved_width(narrow, 16.0)
 
 
-# -- synthetic joint distributions ------------------------------------------------
+# -- synthetic cuts ----------------------------------------------------------------
 
-def synthetic_joint(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0,
-                    mode=Mode.DIFFERENCE):
-    """Factorised pair counts, narrow in b - a and broad in a + b about the centre,
-    collapsed onto `mode`; the single-photon counts are the matching marginal."""
-    a = np.arange(w)[:, None]
-    b = np.arange(w)[None, :]
-    centre = w - 1
-    density = np.exp(-0.5 * ((b - a) / sigma_narrow) ** 2)
-    density = density * np.exp(-0.5 * ((a + b - centre) / (2.0 * sigma_broad)) ** 2)
+def synthetic_cut(w=201, sigma_narrow=3.0, sigma_broad=30.0, scale=5000.0,
+                  mode=Mode.DIFFERENCE):
+    """The central cut of a map of pairs narrow in b - a and broad in a + b.
+
+    Its pair counts are a Gaussian of width sigma_narrow (difference) or
+    2 sigma_broad (sum) about the cut's centre, and a difference cut holds
+    the self-pairs in its zero-offset bin, as the accumulator's does; the
+    photons are the matching single-photon profile.
+    """
+    x = pair_axis(w, mode)
+    centre, sigma = (0, sigma_narrow) if mode is Mode.DIFFERENCE else (w - 1, 2.0 * sigma_broad)
     sigma_marg = 0.5 * math.hypot(sigma_narrow, 2.0 * sigma_broad)
-    singles = np.rint(scale * gaussian(np.arange(w), 1.0, centre / 2, sigma_marg, 0.0))
-    # the signal holds the self-pairs too, on a = b, as the accumulator's does
-    counts = np.rint(scale * density).astype(np.int64) + np.diag(singles.astype(np.int64))
-    return JointDistribution(
-        mode=mode,
-        signal=pair_histogram(counts, mode),
-        reference=np.zeros(2 * w - 1, dtype=np.int64),
-        self_counts=singles.astype(np.int64),
-        n_frames=1,
-        n_reference_pairs=1,
-    )
+    singles = np.rint(scale * gaussian(np.arange(w), 1.0, (w - 1) / 2, sigma_marg, 0.0))
+    signal = np.rint(scale * gaussian(x, 1.0, centre, sigma, 0.0)).astype(np.int64)
+    if mode is Mode.DIFFERENCE:
+        signal[w - 1] += int(singles.sum())
+    return MapCut(mode=mode, signal=signal, reference=np.zeros(2 * w - 1, dtype=np.int64),
+                  photons=singles.astype(np.int64), n_frames=1, n_reference_pairs=1)
 
 
-#: the singles profile of `synthetic_joint`: no saturation, no dark counts
+def self_pair_mask(cut):
+    """`subtract`'s mask on a cut without smear: the zero-offset bin of a difference cut."""
+    x = pair_axis(cut.photons.size, cut.mode)
+    return (x == 0) if cut.mode is Mode.DIFFERENCE else np.zeros(x.size, dtype=bool)
+
+
+#: the singles profile of `synthetic_cut`: no saturation, no dark counts
 NO_SATURATION = {"kappa": np.ones(201), "baseline": 0.0}
 
 
-def flat_kappa(joints):
-    return {axis: np.ones(j.self_counts.size) for axis, j in joints.items()}
+def flat_kappa(cuts):
+    return {axis: np.ones(c.photons.size) for axis, c in cuts.items()}
 
 
-def test_fit_joint_width_difference():
-    joint = synthetic_joint()
-    w = fit_joint_width(joint, 16.0)
+def masks_of(cuts):
+    return {axis: self_pair_mask(c) for axis, c in cuts.items()}
+
+
+def test_fit_map_width_difference():
+    cut = synthetic_cut()
+    w = fit_map_width(cut, self_pair_mask(cut), 16.0)
     assert w.fit.sigma == pytest.approx(3.0, rel=0.02)
     assert w.sigma_um == pytest.approx(16.0 * math.sqrt(w.fit.sigma**2 - PIXEL_VAR_PAIR))
 
 
-def test_fit_joint_width_ignores_the_zero_offset_bin():
-    """The bin a binary camera cannot populate honestly is always excluded."""
-    joint = synthetic_joint()
-    crippled = synthetic_joint()
-    crippled.signal[200] = 0  # kill every b - a = 0 count (W = 201)
-    a = fit_joint_width(joint, 16.0)
-    b = fit_joint_width(crippled, 16.0)
-    assert b.fit.sigma == pytest.approx(a.fit.sigma, rel=1e-9)
+def test_fit_map_width_ignores_masked_bins():
+    """The self-pair bin, which the accidental reference never cancels, is
+    excluded through the mask, whatever it holds."""
+    cut = synthetic_cut()
+    crippled = synthetic_cut()
+    crippled.signal[200] = 0  # the zero-offset bin (W = 201)
+    a = fit_map_width(cut, self_pair_mask(cut), 16.0)
+    b = fit_map_width(crippled, self_pair_mask(cut), 16.0)
+    assert b.fit == a.fit
+    assert a.fit.n_points == 2 * NARROW_WINDOW_PX
 
 
-def test_fit_joint_width_sum():
-    """Anti-correlated coordinates: the narrow peak sits in a + b, self-pairs removed."""
-    joint = synthetic_joint(sigma_narrow=30.0, sigma_broad=1.5, mode=Mode.SUM)
-    w = fit_joint_width(joint, 16.0)
-    # the a + b histogram carries twice the per-coordinate spread
+def test_fit_map_width_sum():
+    """Anti-correlated coordinates: the narrow peak sits in a + b."""
+    cut = synthetic_cut(sigma_narrow=30.0, sigma_broad=1.5, mode=Mode.SUM)
+    w = fit_map_width(cut, self_pair_mask(cut), 16.0)
+    # the a + b cut carries twice the per-coordinate spread
     assert w.fit.sigma == pytest.approx(2.0 * 1.5, rel=0.02)
 
 
 def test_inferred_variance_applies_the_optical_scale():
-    joint = synthetic_joint()
+    cut = synthetic_cut()
+    width = fit_map_width(cut, self_pair_mask(cut), 16.0)
     scale = 1.0 / 2.5
-    iv = inferred_variance(joint, pitch_um=16.0, scale=scale)
-    assert iv.variance == pytest.approx(iv.width.sigma_um**2 * scale**2)
+    assert inferred_variance(width, scale) == pytest.approx(width.sigma_um**2 * scale**2,
+                                                            rel=1e-15)
 
 
 def test_epr_product_is_a_plain_product():
@@ -302,8 +313,9 @@ def test_epr_product_is_a_plain_product():
 
 
 def test_axis_dimensionality_counts_resolvable_modes():
-    joint = synthetic_joint(sigma_narrow=3.0, sigma_broad=30.0)
-    est = axis_dimensionality(joint, pitch_um=16.0, **NO_SATURATION)
+    cut = synthetic_cut(sigma_narrow=3.0, sigma_broad=30.0)
+    mask = self_pair_mask(cut)
+    est = axis_dimensionality(cut, mask=mask, pitch_um=16.0, **NO_SATURATION)
     assert est.sigma_narrow_um == pytest.approx(3.0 * 16.0, rel=0.02)
     assert est.sigma_broad_um == pytest.approx(60.0 * 16.0, rel=0.02)
     expected_marg = 0.5 * math.hypot(est.sigma_narrow_um, est.sigma_broad_um)
@@ -315,35 +327,37 @@ def test_axis_dimensionality_counts_resolvable_modes():
     assert est.substituted_from is None
     # a narrow fit made beforehand with the same arguments gives the same
     # estimate, and a passed-in fit is used as it is
-    narrow = fit_joint_width(joint, 16.0)
-    assert axis_dimensionality(joint, pitch_um=16.0, narrow_fit=narrow, **NO_SATURATION) == est
+    narrow = fit_map_width(cut, mask, 16.0)
+    assert axis_dimensionality(cut, mask=mask, pitch_um=16.0, narrow_fit=narrow,
+                               **NO_SATURATION) == est
     wider = dataclasses.replace(narrow, fit=dataclasses.replace(narrow.fit,
                                                                 sigma=1.1 * narrow.fit.sigma))
-    assert axis_dimensionality(joint, pitch_um=16.0, narrow_fit=wider,
+    assert axis_dimensionality(cut, mask=mask, pitch_um=16.0, narrow_fit=wider,
                                **NO_SATURATION).sigma_narrow_um == 1.1 * narrow.fit.sigma * 16.0
 
 
 def test_axis_dimensionality_rejects_inverted_ordering():
-    joint = synthetic_joint(mode=Mode.SUM)
+    cut = synthetic_cut(mode=Mode.SUM)
     with pytest.raises(AnalysisError, match="inverted"):
-        axis_dimensionality(joint, pitch_um=16.0, **NO_SATURATION)
+        axis_dimensionality(cut, mask=self_pair_mask(cut), pitch_um=16.0, **NO_SATURATION)
 
 
 def test_dimensionality_products_and_substitution():
-    joints = {"col": synthetic_joint(), "row": synthetic_joint()}
-    est = dimensionality(joints, pitch_um=16.0, smeared=False,
-                         narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
+    cuts = {"col": synthetic_cut(), "row": synthetic_cut()}
+    est = dimensionality(cuts, masks=masks_of(cuts), pitch_um=16.0, smeared=False,
+                         narrow_fit=None, kappa=flat_kappa(cuts), dark_occupancy=0.0)
     assert list(est.axes) == ["col", "row"]
     assert est.d_total == pytest.approx(est.axes["col"].d_axis ** 2, rel=1e-9)
     # a narrow fit made beforehand with the same arguments is reused as it is
-    narrow = fit_joint_width(joints["col"], 16.0)
-    assert dimensionality(joints, pitch_um=16.0, smeared=False,
-                          narrow_fit=narrow, kappa=flat_kappa(joints), dark_occupancy=0.0) == est
+    narrow = fit_map_width(cuts["col"], self_pair_mask(cuts["col"]), 16.0)
+    assert dimensionality(cuts, masks=masks_of(cuts), pitch_um=16.0, smeared=False,
+                          narrow_fit=narrow, kappa=flat_kappa(cuts), dark_occupancy=0.0) == est
 
-    # a smeared plane's row reuses the column's estimate and never reads its own joint
-    sub = dimensionality({"col": joints["col"], "row": None}, pitch_um=16.0,
-                         smeared=True, narrow_fit=None,
-                         kappa=flat_kappa(joints), dark_occupancy=0.0)
+    # a smeared plane's row reuses the column's estimate and never reads its own cut
+    sub = dimensionality({"col": cuts["col"], "row": None},
+                         masks={"col": self_pair_mask(cuts["col"]), "row": None},
+                         pitch_um=16.0, smeared=True, narrow_fit=None,
+                         kappa=flat_kappa(cuts), dark_occupancy=0.0)
     assert list(sub.axes) == ["col", "row"]
     assert sub.axes["row"].substituted_from == "col"
     assert sub.axes["row"].d_axis == sub.axes["col"].d_axis
@@ -351,10 +365,10 @@ def test_dimensionality_products_and_substitution():
 
 
 def test_dimensionality_coverage_uses_each_axis_width():
-    """A non-square region: the column joint spans 201 pixels, the row joint 151."""
-    joints = {"col": synthetic_joint(w=201), "row": synthetic_joint(w=151)}
-    est = dimensionality(joints, pitch_um=16.0, smeared=False,
-                         narrow_fit=None, kappa=flat_kappa(joints), dark_occupancy=0.0)
+    """A non-square region: the column cut spans 201 pixels, the row cut 151."""
+    cuts = {"col": synthetic_cut(w=201), "row": synthetic_cut(w=151)}
+    est = dimensionality(cuts, masks=masks_of(cuts), pitch_um=16.0, smeared=False,
+                         narrow_fit=None, kappa=flat_kappa(cuts), dark_occupancy=0.0)
     for axis, width in (("col", 201), ("row", 151)):
         ax = est.axes[axis]
         expected = math.erf(width * 16.0 / (2 * math.sqrt(2) * ax.sigma_marginal_um))
@@ -365,59 +379,84 @@ def test_dimensionality_coverage_uses_each_axis_width():
 
 # -- map cross-sections --------------------------------------------------------
 
-def synthetic_map(mode, h=61, w=61, sigma=4.0, amplitude=5.0, noise=0.02, seed=0):
+def synthetic_map(mode, h=61, w=61, sigma=4.0, amplitude=5.0, noise=0.02, n=1000, seed=0):
+    """n frames' pair counts whose per-frame excess is a Gaussian on row H - 1
+    over noise, on 50 accidental pairs per frame and bin."""
     rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, noise, size=(2 * h - 1, 2 * w - 1))
-    x = np.arange(2 * w - 1)
-    values[h - 1] += gaussian(x, amplitude, w - 1, sigma, 0.0)
-    mask = np.zeros_like(values, dtype=bool)
-    if mode is Mode.DIFFERENCE:
-        mask[h - 1, w - 1] = True
-    return SubtractedMap(mode, values, mask, (h, w))
+    excess = rng.normal(0.0, noise, size=(2 * h - 1, 2 * w - 1))
+    excess[h - 1] += gaussian(np.arange(2 * w - 1), amplitude, w - 1, sigma, 0.0)
+    signal = np.rint((50.0 + excess) * n).astype(np.int64)
+    reference = np.full(signal.shape, 50 * (n - 1), dtype=np.int64)
+    return CorrelationMap(mode, signal, reference, n, n - 1, (h, w))
 
 
 @pytest.mark.parametrize("mode", [Mode.DIFFERENCE, Mode.SUM])
 def test_fit_map_width_reads_the_central_cross_section(mode):
-    sub = synthetic_map(mode)
-    w = fit_map_width(sub, 16.0)
+    """The width of the central row's cut is the fit to the map's central
+    cross-section, the row that the cross-section CSV holds."""
+    cmap = synthetic_map(mode)
+    sub = subtract(cmap)
+    row = {name: central_cuts(a, cmap.roi)["col"] for name, a in
+           (("signal", cmap.signal), ("reference", cmap.reference), ("mask", sub.mask))}
+    cut = MapCut(mode, row["signal"], row["reference"], np.ones(cmap.roi[1], dtype=np.int64),
+                 cmap.n_frames, cmap.n_reference_pairs)
+    w = fit_map_width(cut, row["mask"], 16.0)
     assert w.fit.sigma == pytest.approx(4.0, rel=0.05)
     assert w.sigma_um == pytest.approx(16.0 * math.sqrt(4.0**2 - PIXEL_VAR_PAIR),
                                        rel=0.05)
+    x, values, mask = central_cross_section(sub)
+    near = np.abs(x - x[np.argmax(np.where(mask, -np.inf, values))]) <= NARROW_WINDOW_PX
+    assert fit_gaussian(x[near], values[near], mask=mask[near]) == w.fit
 
 
 # -- blocks and bootstrap --------------------------------------------------------
 
-def poisson_blocks(n_frames=40, n_blocks=10, w=15, lam=3.0, seed=5):
-    """{"col": block joints} of Poisson marginals, cut on `make_blocks`' edges."""
-    counts = np.random.default_rng(seed).poisson(lam, size=(n_frames, w)).astype(np.int32)
-    edges = make_blocks(n_frames, n_blocks)
-    return {"col": [block_joint(counts[lo:hi], Mode.DIFFERENCE)
-                    for lo, hi in zip(edges[:-1], edges[1:])]}
+def accumulated(frames, mode=Mode.DIFFERENCE, **kwargs):
+    acc = StackAccumulator(frames.shape[1:], mode, **kwargs)
+    for f in frames:
+        acc.add(f)
+    return acc.finalize()
 
 
-def test_blocks_pool_back_to_the_full_joint():
-    frames = np.random.default_rng(5).random((40, 6, 15)) < 0.3
+def poisson_blocks(n_frames=40, n_blocks=10, h=6, w=15, p=0.3, seed=5):
+    """{"col": block cuts} of random binary frames, cut on `make_blocks`' edges."""
+    frames = np.random.default_rng(seed).random((n_frames, h, w)) < p
+    return {"col": accumulated(frames, block_edges=make_blocks(n_frames, n_blocks)).blocks["col"]}
+
+
+@pytest.mark.parametrize("h, w", [(201, 201), (101, 101), (40, 41)])
+def test_block_cuts_pool_back_to_the_map(h, w):
+    """Pooled over all blocks, the cuts are the whole map's central row and
+    column: the pair counts, the per-frame excess of `subtract` and the
+    photon totals.  Each adjacent-frame pair that straddles an edge is in
+    the later block, so none is lost.  Both routes, both modes, and pads of
+    405, 210 and 80 x 81 bins."""
+    frames = np.random.default_rng(h * w).random((24, h, w)) < 0.01
     edges = make_blocks(len(frames), 10)
-
-    def blocks(**kwargs):
-        acc = StackAccumulator(frames.shape[1:], Mode.DIFFERENCE, **kwargs)
-        for f in frames:
-            acc.add(f)
-        return acc.finalize().blocks
-
-    (full,) = blocks()["col"]
-    cut = blocks(block_edges=edges)["col"]
-    assert len(cut) == 10
-    pooled = combine_joints(cut)
-    np.testing.assert_array_equal(pooled.signal, full.signal)
-    np.testing.assert_array_equal(pooled.self_counts, full.self_counts)
-    assert pooled.n_frames == full.n_frames
-    # pooling loses exactly the adjacent-frame pairs straddling block edges
-    assert pooled.n_reference_pairs == full.n_reference_pairs - 9
-    totals = frames.sum(axis=(1, 2)).astype(np.int64)
-    straddle = sum(int(totals[e - 1] * totals[e]) for e in edges[1:-1])
-    assert straddle > 0
-    assert int(full.reference.sum() - pooled.reference.sum()) == straddle
+    assert len(set(np.diff(edges))) == 2
+    for mode in Mode:
+        for threshold in (10**9, 0):  # every frame sparse, every frame spectral
+            res = accumulated(frames, mode, sparse_threshold=threshold, block_edges=edges)
+            sub = subtract(res.map, mask_smear_rows=True)
+            for axis, other in (("col", 0), ("row", 1)):
+                assert len(res.blocks[axis]) == 10
+                pooled = combine_cuts(res.blocks[axis])
+                assert (pooled.n_frames, pooled.n_reference_pairs) == (24, 23)
+                for got, full in ((pooled.signal, res.map.signal),
+                                  (pooled.reference, res.map.reference)):
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, central_cuts(full, res.map.roi)[axis])
+                excess = pooled.signal / 24 - pooled.reference / 23
+                np.testing.assert_array_equal(excess, central_cuts(sub.values, sub.roi)[axis])
+                np.testing.assert_array_equal(pooled.photons, res.fired.sum(axis=other))
+            # the fits' masks: the self-pair bin on both difference cuts, and
+            # the smear rows on the central column
+            masks = central_cuts(sub.mask, sub.roi)
+            if mode is Mode.DIFFERENCE:
+                assert np.flatnonzero(masks["col"]).tolist() == [w - 1]
+                assert np.flatnonzero(masks["row"]).tolist() == [h - 2, h - 1, h]
+            else:
+                assert not masks["col"].any() and not masks["row"].any()
 
 
 def correlated_frames(n_frames=600, h=31, w=41, pairs=8.0, seed=3):
@@ -438,17 +477,14 @@ def correlated_frames(n_frames=600, h=31, w=41, pairs=8.0, seed=3):
 
 def test_blocks_pool_back_to_the_point_mode_count():
     frames = correlated_frames()
-    edges = make_blocks(len(frames), 10)
-    acc = StackAccumulator(frames.shape[1:], Mode.DIFFERENCE, block_edges=edges)
-    for f in frames:
-        acc.add(f)
-    res = acc.finalize()
+    res = accumulated(frames, block_edges=make_blocks(len(frames), 10))
     np.testing.assert_array_equal(res.fired, frames.sum(axis=0))
     kappa = saturation_factors(res.fired, res.n_frames)
+    masks = central_cuts(subtract(res.map).mask, res.map.roi)
 
     def mode_count(blocks):
-        joints = {ax: combine_joints(blk) for ax, blk in blocks.items()}
-        return dimensionality(joints, pitch_um=16.0, smeared=False,
+        cuts = {ax: combine_cuts(blk) for ax, blk in blocks.items()}
+        return dimensionality(cuts, masks=masks, pitch_um=16.0, smeared=False,
                               narrow_fit=None, kappa=kappa, dark_occupancy=0.02).d_total
 
     point = mode_count(res.blocks)
@@ -456,12 +492,12 @@ def test_blocks_pool_back_to_the_point_mode_count():
     # a resample that draws every block once, in any order, gives the point figure
     order = np.random.default_rng(1).permutation(10)
     assert mode_count({ax: [blk[i] for i in order] for ax, blk in res.blocks.items()}) == point
-    # the pooled joints' profiles are the whole stack's sums of -ln(1 - p)
+    # the pooled cuts' profiles are the whole stack's sums of -ln(1 - p)
     mu = -np.log1p(-res.fired / res.n_frames)
     for axis, other in (("col", 0), ("row", 1)):
-        pooled = combine_joints(res.blocks[axis])
+        pooled = combine_cuts(res.blocks[axis])
         assert pooled.n_frames == res.n_frames
-        np.testing.assert_allclose(kappa[axis] * pooled.self_counts / pooled.n_frames,
+        np.testing.assert_allclose(kappa[axis] * pooled.photons / pooled.n_frames,
                                    mu.sum(axis=other), rtol=1e-12)
 
 
@@ -471,23 +507,23 @@ def test_make_blocks_validation():
     assert make_blocks(40, 3).tolist() == [0, 13, 26, 40]
     # a bootstrap needs 10 blocks; pooling needs only one
     with pytest.raises(ParameterError, match="at least 10"):
-        block_bootstrap(poisson_blocks(n_blocks=2), lambda joints: {}, n_boot=5)
-    assert combine_joints(poisson_blocks(n_blocks=2)["col"]).n_frames == 40
-    # a joint carries its pair coordinate, and joints on different ones do not pool
+        block_bootstrap(poisson_blocks(n_blocks=2), lambda cuts: {}, n_boot=5)
+    assert combine_cuts(poisson_blocks(n_blocks=2)["col"]).n_frames == 40
+    # a cut carries its pair coordinate, and cuts on different ones do not pool
     parts = poisson_blocks(n_blocks=2)["col"]
-    assert combine_joints(parts).mode is Mode.DIFFERENCE
+    assert combine_cuts(parts).mode is Mode.DIFFERENCE
     with pytest.raises(ParameterError, match="different pair coordinates"):
-        combine_joints([parts[0], dataclasses.replace(parts[1], mode=Mode.SUM)])
+        combine_cuts([parts[0], dataclasses.replace(parts[1], mode=Mode.SUM)])
     # a stack too short for its blocks is a failed estimate, not a caller mistake
     with pytest.raises(AnalysisError, match="too few"):
         make_blocks(12, 10)
-    with pytest.raises(ParameterError, match="no joint blocks"):
-        combine_joints([])
+    with pytest.raises(ParameterError, match="no cut blocks"):
+        combine_cuts([])
 
 
 def test_block_bootstrap_constant_statistic_has_zero_error():
     blocks = poisson_blocks()
-    out = block_bootstrap(blocks, lambda joints: {"c": 1.0}, n_boot=20, seed=1)
+    out = block_bootstrap(blocks, lambda cuts: {"c": 1.0}, n_boot=20, seed=1)
     assert out.errors["c"] == 0.0
     assert (out.n_ok, out.n_failed) == (20, 0)
 
@@ -495,8 +531,8 @@ def test_block_bootstrap_constant_statistic_has_zero_error():
 def test_block_bootstrap_reproducible_and_positive():
     blocks = poisson_blocks()
 
-    def stat(joints):
-        return {"total": float(joints["col"].signal.sum())}
+    def stat(cuts):
+        return {"total": float(cuts["col"].signal.sum())}
 
     a = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors
     b = block_bootstrap(blocks, stat, n_boot=30, seed=3).errors
@@ -509,7 +545,7 @@ def test_block_bootstrap_skips_failing_resamples():
     blocks = poisson_blocks()
     calls = {"n": 0}
 
-    def flaky(joints):
+    def flaky(cuts):
         calls["n"] += 1
         if calls["n"] % 2:
             raise AnalysisError("resample unusable")

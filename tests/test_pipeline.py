@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bpcam import Plane, RunConfig, StackReader, StackWriter, calibrate, inference, pipeline
-from bpcam.correlate import Mode, StackAccumulator, subtract
+from bpcam.correlate import RESIDUAL_TOL, Mode, StackAccumulator, subtract
 from bpcam.errors import ConsistencyError, ParameterError
 from bpcam.framestack import KIND_BINARY, KIND_RAW, PLANE_IMAGE
 from bpcam.pipeline import _STALE_TMP, analyze, simulate
@@ -261,8 +261,9 @@ def test_analyze_worker_parameter_error_reaches_the_caller(small_run, monkeypatc
 
 
 def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkeypatch):
-    """The column's narrow fit for the mode count is the inferred variance's
-    own: one `curve_fit` fewer per plane, and the same mode counts."""
+    """The column's narrow fit for the mode count is the one that gives the
+    width and the inferred variance: one `curve_fit` fewer per plane, and
+    the same mode counts."""
     cfg, sim, products = small_run
     log = tmp_path / "curve_fit.log"
     curve_fit = inference.curve_fit
@@ -281,8 +282,7 @@ def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkey
     n_reused, reused = fits_and_report()
     dimensionality = pipeline.dimensionality
     monkeypatch.setattr(pipeline, "dimensionality",
-                        lambda joints, narrow_fit, **kw: dimensionality(joints, narrow_fit=None,
-                                                                        **kw))
+                        lambda cuts, narrow_fit, **kw: dimensionality(cuts, narrow_fit=None, **kw))
     n_fresh, fresh = fits_and_report()
     assert n_fresh - n_reused == 2
     assert np.isfinite([reused.d_pos, reused.d_mom]).all()
@@ -294,11 +294,38 @@ def test_fit_records_carry_their_evaluation_counts(small_run, tmp_path):
     cfg, sim, products = small_run
     write_report(products.report, tmp_path)
     detail = json.loads((tmp_path / "report.json").read_text())["detail"]
-    # free-offset map fits have four parameters, the fixed-offset joint fits three
-    n_params = {"sigma_pos_fit": 4, "sigma_mom_fit": 4, "cond_var_x": 3, "cond_var_p": 3}
+    # one record per narrow fit, a free-offset Gaussian of four parameters; the
+    # conditional variances come from the same fits and have no record of their own
+    n_params = {"sigma_pos_fit": 4, "sigma_mom_fit": 4}
     assert {key for key, rec in detail.items() if "nfev" in rec} == set(n_params)
     for key, n in n_params.items():
         assert 1 <= detail[key]["nfev"] <= inference.MAX_NFEV_PER_PARAM * n
+
+
+def test_variances_come_from_the_width_fits(small_run):
+    """Var(x1|x2) = (sigma_pos / M)^2 and Var(p1|p2) = (sigma_mom k / f)^2: one fit each."""
+    cfg, sim, products = small_run
+    report = products.report
+    k = cfg.source().wavenumber
+    assert report.cond_var_x_um2 == pytest.approx(
+        (report.sigma_pos_um / cfg.magnification) ** 2, rel=1e-12)
+    assert report.cond_var_p_hbar2_per_um2 == pytest.approx(
+        (report.sigma_mom_um * k / cfg.effective_focal) ** 2, rel=1e-12)
+
+
+def test_report_records_the_largest_spectral_residual(tmp_path):
+    """0 where every frame took the sparse route; under the tolerance on the spectral one."""
+    cfg = RunConfig().replace(**TINY)
+    sim = simulate(cfg, tmp_path)
+    sparse = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    spectral = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"],
+                       cfg.replace(sparse_threshold=0))
+    for name in ("image", "farfield"):
+        record = sparse.report.detail[f"spectral_residual_{name}"]
+        assert record == {"max": 0.0, "tolerance": RESIDUAL_TOL}
+        record = spectral.report.detail[f"spectral_residual_{name}"]
+        assert record["tolerance"] == RESIDUAL_TOL == 0.25
+        assert 0.0 <= record["max"] < 0.25
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
@@ -352,6 +379,33 @@ def test_simulate_removes_stale_temporary_stacks(tmp_path):
     assert len(StackReader(out / "image.bpcm")) == cfg.n_frames
 
 
+def test_a_simulate_killed_mid_plane_leaves_no_earlier_report(tmp_path, monkeypatch):
+    cfg = RunConfig().replace(**TINY)
+    out = tmp_path / "run"
+    sim, products = pipeline.run(cfg, out)
+    write_report(products.report, out)
+    write_cross_sections(products.maps, out, cfg.pixel_pitch)
+    kept = out / "notes_cross_section.txt"
+    kept.write_text("not a run file")
+    earlier = {path.name for path in out.iterdir()}
+    assert {"sim_summary.json", "report.json", "report.txt",
+            "image_difference_cross_section.csv"} <= earlier
+
+    class KilledWriter(StackWriter):
+        def write(self, frame):
+            if self.header.plane == PLANE_IMAGE and self.n_frames == 3:
+                raise KeyboardInterrupt
+            super().write(frame)
+
+    monkeypatch.setattr(pipeline, "StackWriter", KilledWriter)
+    with pytest.raises(KeyboardInterrupt):
+        simulate(cfg, out, planes=(Plane.IMAGE,))
+    left = {path.name for path in out.iterdir()}
+    assert left == {"dark.bpcm", "image.bpcm", "farfield.bpcm", kept.name}
+    # the killed plane's stack is the earlier one, which no report now describes
+    assert len(StackReader(out / "image.bpcm")) == cfg.n_frames
+
+
 @pytest.mark.parametrize("name", ["dark.bpcm", "image.bpcm", "farfield.bpcm"])
 def test_stale_sweep_matches_the_writers_temporary_files(tmp_path, name):
     # the sweep's pattern and the writer's temporary name must not drift apart
@@ -399,15 +453,16 @@ def test_analyze_small_stacks_degrade_to_warnings(tmp_path):
 
 def test_analyze_warnings_are_listed_step_by_step_image_first(tmp_path):
     """The planes are analysed in two processes; their warnings still come
-    step by step (map fit, SNR, blocks, inferred variance, dimensionality,
-    bootstrap), the image plane's before the far field's."""
+    step by step (map fit, SNR, blocks, dimensionality, bootstrap), the
+    image plane's before the far field's."""
     cfg = RunConfig().replace(**TINY)
     sim = simulate(cfg, tmp_path)
     products = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
     labels = [text.split(":")[0] for text in products.report.detail["warnings"]]
     assert labels == ["sigma_pos fit",
                       "image peak snr", "farfield peak snr",
-                      "image blocks", "farfield blocks"]
+                      "image blocks", "farfield blocks",
+                      "image dimensionality", "farfield dimensionality"]
 
 
 def test_analyze_non_square_region(tmp_path):
