@@ -265,6 +265,25 @@ def test_block_edges_must_match_the_frames_fed(rng):
             acc.finalize()
 
 
+def test_accumulator_holds_at_most_one_block_of_marginals(rng):
+    # between edges the only block state held is one reading of the cuts, at
+    # the last edge passed; a block's last frame closes it at once
+    frames = random_stack(rng, 5, 6, 23, 0.3)
+    edges = make_blocks(len(frames), 4)
+    inner = edges[1:-1]
+    acc = StackAccumulator((5, 6), Mode.SUM, block_edges=edges)
+    for i, f in enumerate(frames, start=1):
+        acc.add(f)
+        passed = [e for e in inner if e <= i]
+        assert len(acc._blocks["col"]) == len(acc._blocks["row"]) == len(passed)
+        if passed:
+            assert {cut.n_frames for cut in acc._last_cuts.values()} == {passed[-1]}
+        else:
+            assert acc._last_cuts is None
+    res = acc.finalize()
+    assert [blk.n_frames for blk in res.blocks["col"]] == np.diff(edges).tolist()
+
+
 def test_accumulator_guards(rng):
     acc = StackAccumulator((4, 4), Mode.DIFFERENCE)
     with pytest.raises(ParameterError):
