@@ -8,10 +8,14 @@ up to two cores; on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, scipy 1.17.1)
 the whole run took 101 s (simulate 37.9 s, analyze 63.3 s), and 86-106 s
 inside the test suite (criterion 2 requires under 120 s).  Outputs land in
 --out-dir: the three .bpcm stacks, sim_summary.json, report.json/report.txt
-and the two cross-section CSVs.
+and the two cross-section CSVs.  After the report it prints the simulate
+and analyze times and the peak resident set, defined as perfbench's
+`peak_rss_mb`: the larger `ru_maxrss` of this process and of its forked
+workers, in MB of 10^6 bytes.
 """
 
 import argparse
+import resource
 import sys
 
 from bpcam import RunConfig
@@ -40,7 +44,10 @@ def main(argv=None) -> int:
     write_cross_sections(products.maps, args.out_dir, cfg.pixel_pitch)
 
     print(format_report(products.report))
-    print(f"\nsimulate: {sim.elapsed_s:.1f} s   analyze: {products.elapsed_s:.1f} s")
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(f"\nsimulate: {sim.elapsed_s:.1f} s   analyze: {products.elapsed_s:.1f} s   "
+          f"peak RSS: {kib * 1024 / 1e6:.1f} MB")
     print(f"outputs in {args.out_dir}/")
     return 0
 

@@ -13,7 +13,7 @@ For each seed, simulates the reference configuration at reduced scale
     dimensionality detail;
   * the closed forms: the coverage-corrected mode counts of acceptance
     criterion 7, and the broad (M sigma_+, f / (k sigma_-)) and marginal
-    widths of each plane.
+    widths of each plane, all with the widths as detected.
 
 Everything goes to one JSON file, with the median and range over the seeds
 of each figure's ratio to its closed form, the median of |ratio - 1|, and
@@ -37,6 +37,7 @@ import tempfile
 import time
 
 from bpcam import RunConfig
+from bpcam.inference import PIXEL_VAR_PAIR
 from bpcam.pipeline import run
 
 PLANES = (("image", "pos"), ("farfield", "mom"))
@@ -63,18 +64,25 @@ def closed_forms(cfg: RunConfig, prediction: dict) -> dict:
     The coverage is that of criterion 7: the share of each plane's
     single-photon marginal, of width half the root sum of squares of the
     narrow and broad widths, that falls on the region, squared for two axes.
+    The mode counts and the broad and marginal widths are the report's as
+    detected, so their closed forms take the widths as detected too: pixel
+    binning adds PIXEL_VAR_PAIR px^2 to a pair coordinate's variance and
+    1/12 px^2 to a single photon's.  On the far field's narrow width of
+    1.07 px that puts d_mom at 0.873 of the binning-free count.
     """
     mag = cfg.magnification
     ff = cfg.effective_focal / cfg.source().wavenumber
     minus, plus = prediction["sigma_minus_um"], prediction["sigma_plus_um"]
     extent_um = cfg.roi_width * cfg.pixel_pitch  # square roi
+    pair_var, photon_var = PIXEL_VAR_PAIR * cfg.pixel_pitch ** 2, cfg.pixel_pitch ** 2 / 12.0
     out = {"narrow": {key: prediction[key] for key in NARROW}}
     for (plane, coord), (narrow, broad) in zip(PLANES, ((mag * minus, mag * plus),
                                                         (ff / plus, ff / minus))):
-        marginal = 0.5 * math.hypot(narrow, broad)
+        marginal = math.sqrt(0.25 * (narrow ** 2 + broad ** 2) + photon_var)
+        narrow, broad = (math.sqrt(sigma ** 2 + pair_var) for sigma in (narrow, broad))
         coverage = math.erf(extent_um / (2.0 * math.sqrt(2.0) * marginal))
         out[plane] = {"sigma_broad_um": broad, "sigma_marginal_um": marginal,
-                      f"d_{coord}": prediction["mode_count"] * coverage ** 2}
+                      f"d_{coord}": (coverage * broad / narrow) ** 2}
     return out
 
 

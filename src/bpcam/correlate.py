@@ -26,7 +26,11 @@ Two interchangeable accumulation routes are kept deliberately:
     frame regardless of occupancy.  Each axis is padded to the next
     11-smooth length (`next_fast_len`).  The forward transforms and the
     products write into buffers allocated once per accumulator, through the
-    `out=` argument that numpy.fft has had since numpy 2.0.
+    `out=` argument that numpy.fft has had since numpy 2.0: the padded
+    frame, the two sums and two spectra that frames take in turn.  A
+    frame's spectrum is spent once its product with the next frame's is
+    taken, so that product is formed in it, and it is then the scratch for
+    the next frame's |F|^2 or F^2.
 
 `StackAccumulator` picks the cheaper route per frame and verifies that the
 spectral outputs land on integers (they must; the inputs are counts).  The
@@ -186,6 +190,11 @@ class StackAccumulator:
     the pair are sparse enough; otherwise the transform of the previous
     frame is (re)computed on demand.
 
+    The spectral route holds five spectrum-sized buffers (module docstring):
+    no row transform and no product scratch of its own.  `finalize` drops
+    each buffer once it is spent, so a finalized accumulator holds no map
+    or spectrum.
+
     `block_edges` (0 = e_0 < e_1 < ... < e_K, each block >= 2 frames) cuts
     the stack into blocks [e_k, e_k+1), each one `MapCut` per axis: the
     difference of the running map's central cuts after the block's last
@@ -242,14 +251,10 @@ class StackAccumulator:
         self._col_phase = (np.where((kc == 0) | (2 * kc == p1), 1.0, 2.0)
                            * np.exp(2j * np.pi * (kc * c0 % p1) / p1) / p1)
         # per-frame buffers, reused for every frame: the zero-padded frame as
-        # float64 and its row transform (transposed; their pads stay zero),
-        # the spectra of this frame and the previous one (they swap each
-        # frame), and product scratch
+        # float64 (its pad stays zero) and the spectra of this frame and the
+        # previous one, which swap each frame and double as product scratch
         self._frame = np.zeros((h, self._pad[1]), dtype=np.float64)
-        self._rows = np.zeros(spec_shape, dtype=np.complex128)
         self._spectra = [np.empty(spec_shape, dtype=np.complex128) for _ in range(2)]
-        self._re = np.empty(spec_shape, dtype=np.float64)
-        self._cx = np.empty(spec_shape, dtype=np.complex128)
         self._any_spectral = False
         # expected spectral-route totals, for exactness checks
         self._tot_sig_spec = 0
@@ -274,17 +279,22 @@ class StackAccumulator:
         return q + (q // w) * (w - 1)
 
     def _transform(self, frame: dict) -> np.ndarray:
-        """The zero-padded rfft2 of a frame, into that frame's spectrum buffer.
+        """The zero-padded rfft2 of a frame, in that frame's spectrum buffer.
 
-        The real pass skips the all-zero pad rows, then the column transform
-        runs at full padded length.  numpy's transforms write into the
-        buffers (`out=`), so a frame allocates no new spectra; the inputs come
-        padded, which numpy transforms faster than padding them itself.
+        The real pass skips the all-zero pad rows and writes the buffer's
+        first H columns (it is held transposed); the pad columns are zeroed
+        first, since the buffer may hold an earlier frame's products.  The
+        column transform then runs in place at full padded length.  numpy's
+        transforms write into the buffer (`out=`), so a frame allocates no
+        new spectra; the input comes padded, which numpy transforms faster
+        than padding it itself.
         """
         h, w = self.roi
+        F = frame["spectrum"]
         np.copyto(self._frame[:, :w], frame["bits"])
-        np.fft.rfft(self._frame, axis=1, out=self._rows[:, :h].T)
-        frame["F"] = np.fft.fft(self._rows, axis=1, out=frame["spectrum"])
+        F[:, h:] = 0.0
+        np.fft.rfft(self._frame, axis=1, out=F[:, :h].T)
+        frame["F"] = np.fft.fft(F, axis=1, out=F)
         return frame["F"]
 
     def _sparse_pairs(self, k1: np.ndarray, k2: np.ndarray, acc: np.ndarray):
@@ -308,37 +318,45 @@ class StackAccumulator:
         self._ones.append(n)
         self._fired += bits
 
-        # frames take turns with the two spectrum buffers
+        # frames take turns with the two spectrum buffers; the other one holds
+        # the previous frame's spectrum, if any
+        turn = len(self._ones) % 2
         cur: dict = {"n": n, "bits": bits, "keys": None, "F": None,
-                     "spectrum": self._spectra[len(self._ones) % 2]}
-        re, cx = self._re, self._cx
+                     "spectrum": self._spectra[turn]}
         if n <= self.sparse_threshold:
             k = cur["keys"] = self._keys(bits)
             self._sparse_pairs(k, k, self._sig)
         else:
-            F = self._transform(cur)
-            if self.mode is Mode.DIFFERENCE:  # |F|^2
-                self._spec_sig += np.square(F.real, out=re)
-                self._spec_sig += np.square(F.imag, out=re)
-            else:
-                self._spec_sig += np.square(F, out=cx)
-            self._any_spectral = True
-            self._tot_sig_spec += n * n
+            self._transform(cur)
 
         prev = self._prev
         if prev is not None:
             if prev["keys"] is not None and cur["keys"] is not None:  # both sparse
                 self._sparse_pairs(prev["keys"], cur["keys"], self._ref)
             else:
-                # a sparse frame beside a dense one is transformed on demand
+                # a sparse frame beside a dense one is transformed on demand;
+                # the previous spectrum is spent once the product is taken,
+                # so the product is formed in it
                 F_prev = prev["F"] if prev["F"] is not None else self._transform(prev)
                 F_cur = cur["F"] if cur["F"] is not None else self._transform(cur)
                 if self.mode is Mode.DIFFERENCE:
-                    F_prev = np.conjugate(F_prev, out=cx)
-                self._spec_ref += np.multiply(F_prev, F_cur, out=cx)
+                    np.conjugate(F_prev, out=F_prev)
+                self._spec_ref += np.multiply(F_prev, F_cur, out=F_prev)
                 self._any_spectral = True
                 self._tot_ref_spec += prev["n"] * n
         self._prev = cur
+
+        if cur["keys"] is None:
+            # the other buffer, spent or never filled, is the product's scratch
+            F, spent = cur["F"], self._spectra[1 - turn]
+            if self.mode is Mode.DIFFERENCE:  # |F|^2
+                re = spent.view(np.float64).reshape(-1)[:F.size].reshape(F.shape)
+                self._spec_sig += np.square(F.real, out=re)
+                self._spec_sig += np.square(F.imag, out=re)
+            else:
+                self._spec_sig += np.square(F, out=spent)
+            self._any_spectral = True
+            self._tot_sig_spec += n * n
         # after this frame's reference pair: the pair that straddles the edge
         # falls in the next block
         if len(self._ones) in self._closing:
@@ -387,9 +405,14 @@ class StackAccumulator:
     # -- finalisation --------------------------------------------------------
 
     def _rounded(self, values: np.ndarray) -> np.ndarray:
-        """Spectral counts -> int64, checked to lie within RESIDUAL_TOL of integers."""
+        """Spectral counts -> int64, checked to lie within RESIDUAL_TOL of integers.
+
+        `values` must be a fresh array: it is overwritten with the residuals,
+        so the check makes no temporary of its size.
+        """
         rounded = np.rint(values)
-        resid = float(np.max(np.abs(values - rounded))) if values.size else 0.0
+        values -= rounded
+        resid = float(np.max(np.abs(values, out=values))) if values.size else 0.0
         if resid > RESIDUAL_TOL:
             raise ConsistencyError(
                 f"spectral route produced non-integer counts (residual {resid:.3g})"
@@ -399,8 +422,11 @@ class StackAccumulator:
 
     def _invert(self, spec: np.ndarray, expected_total: int) -> np.ndarray:
         """One inverse transform of a (transposed) spectrum -> integer window,
-        with exactness checks."""
-        out = self._rounded(np.fft.irfft2(spec.T, s=self._pad)[np.ix_(*self._grid)])
+        with exactness checks.  The caller hands the spectrum over: it is
+        freed once transformed, before the window is rounded."""
+        values = np.fft.irfft2(spec.T, s=self._pad)[np.ix_(*self._grid)]
+        del spec
+        out = self._rounded(values)
         total = int(out.sum())
         if total != expected_total:
             raise ConsistencyError(
@@ -413,7 +439,7 @@ class StackAccumulator:
             raise ConsistencyError("accumulator already finalized")
         self._finalized = True
         # the per-frame buffers go before the inverse transforms allocate
-        self._frame = self._rows = self._spectra = self._re = self._cx = self._prev = None
+        self._frame = self._spectra = self._prev = None
         n_frames = len(self._ones)
         if self._block_edges is not None and n_frames != self._block_edges[-1]:
             raise ConsistencyError(
@@ -422,12 +448,14 @@ class StackAccumulator:
             raise ParameterError(f"need at least 2 frames, got {n_frames}")
         ones = np.asarray(self._ones, dtype=np.int64)
         exp_sig, exp_ref = _pair_totals(ones)
-        sig = self._sig.reshape(self._map_shape)
-        ref = self._ref.reshape(self._map_shape)
+        # the count buffers become the maps, and each spectrum is dropped once
+        # inverted, so the signal's is gone before the reference's inverse
+        sig, ref = (acc.reshape(self._map_shape) for acc in (self._sig, self._ref))
+        spectra = [self._spec_sig, self._spec_ref]
+        self._sig = self._ref = self._spec_sig = self._spec_ref = None
         if self._any_spectral:
-            sig = sig + self._invert(self._spec_sig.astype(np.complex128, copy=False),
-                                     self._tot_sig_spec)
-            ref = ref + self._invert(self._spec_ref, self._tot_ref_spec)
+            sig += self._invert(spectra.pop(0), self._tot_sig_spec)
+            ref += self._invert(spectra.pop(0), self._tot_ref_spec)
         if int(sig.sum()) != exp_sig or int(ref.sum()) != exp_ref:
             raise ConsistencyError(f"pair-count conservation failed on the {self.mode.value} map")
         cmap = CorrelationMap(self.mode, sig, ref, n_frames, n_frames - 1, self.roi)
@@ -482,14 +510,14 @@ def peak_snr(sub: SubtractedMap) -> PeakSnr:
     and odd sizes alike.  Masked bins are excluded from both regions.
     """
     h, w = sub.roi
-    r0, c0 = h - 1, w - 1
-    rows = np.arange(sub.values.shape[0])[:, None]
-    cols = np.arange(sub.values.shape[1])[None, :]
-    cheb = np.maximum(np.abs(rows - r0), np.abs(cols - c0))
+    # each axis's distance from the peak bin; the Chebyshev distance is the
+    # larger, so the regions are squares and boolean maps the only 2-D arrays
+    dr = np.abs(np.arange(sub.values.shape[0]) - (h - 1))[:, None]
+    dc = np.abs(np.arange(sub.values.shape[1]) - (w - 1))[None, :]
     ok = ~sub.mask
-    in_peak = (cheb <= 1) & ok
+    in_peak = (dr <= 1) & (dc <= 1) & ok
     lo, hi = SNR_ANNULUS
-    in_bg = (cheb >= lo) & (cheb <= hi) & ok
+    in_bg = ((dr >= lo) | (dc >= lo)) & (dr <= hi) & (dc <= hi) & ok
     n_peak = int(np.count_nonzero(in_peak))
     n_bg = int(np.count_nonzero(in_bg))
     if n_peak == 0 or n_bg < 16:

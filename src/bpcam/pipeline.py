@@ -321,6 +321,7 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
         acc.add(bits)
     res = acc.finalize()
     sub = subtract(res.map, mask_smear_rows=smeared)
+    res.map = None  # the fits read the excess map and the cuts: the counts go
     # the share of frames in which the pixel on the optical axis and the busiest one fired
     h, w = config.roi
     records["occupancy"] = (f"occupancy_{name}", {
@@ -358,8 +359,13 @@ def _analyze_plane(plane: Plane, paths: dict, config: RunConfig) -> _PlaneAnalys
     snr = _try("peak snr", f"{name} peak snr", lambda: peak_snr(sub))
     if snr:
         records["peak snr"] = (f"snr_{coord}", asdict(snr))
-    dims = _try("dimensionality", f"{name} dimensionality",
-                lambda: fit_dimensionality(cuts, width))
+    if width:
+        dims = _try("dimensionality", f"{name} dimensionality",
+                    lambda: fit_dimensionality(cuts, width))
+    else:  # a refit of the same cut would fail the same way
+        dims = None
+        warnings["dimensionality"] = (f"{name} dimensionality: no narrow width, "
+                                      f"the sigma_{coord} fit failed")
     if dims:
         records["dimensionality"] = (f"dimensionality_{name}",
                                      {ax: asdict(est) for ax, est in dims.axes.items()})

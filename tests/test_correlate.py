@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpcam import Mode, StackAccumulator, peak_snr, subtract
-from bpcam.correlate import RESIDUAL_TOL, central_cuts, pair_axis, pair_histogram
+from bpcam.correlate import (
+    RESIDUAL_TOL,
+    SNR_ANNULUS,
+    SubtractedMap,
+    central_cuts,
+    pair_axis,
+    pair_histogram,
+)
 from bpcam.errors import AnalysisError, ConsistencyError, ParameterError
 from bpcam.inference import make_blocks
 
@@ -188,6 +195,32 @@ def test_dense_frames_allocate_no_new_spectra(rng):
         assert peak - before < 300_000
         res = acc.finalize()
         assert res.n_frames == 14 and len(res.blocks["col"]) == 2
+
+
+def test_dense_accumulation_holds_no_row_or_scratch_spectra(rng):
+    """Warmed up on dense 201 x 201 frames, an accumulator holds its two
+    count maps, its two spectral sums, the two spectra that frames take in
+    turn and the padded frame, and no other buffer of their size: the
+    product scratch is the spent spectrum.  `finalize` drops the per-frame
+    buffers before it inverts, so its peak stays within the same bound."""
+    frames = [rng.random((201, 201)) < 0.04 for _ in range(6)]
+    spectrum = 203 * 405 * 16  # the 405 x 405 padded rfft2, complex128, held transposed
+    counts = 401 * 401 * 8  # one int64 map
+    frame = 201 * 405 * 8  # the padded frame, float64
+    small = 600_000  # the fired-pixel counts (0.16 MB), phases, grid and frame records
+    for mode, sums in ((Mode.DIFFERENCE, 1.5 * spectrum), (Mode.SUM, 2 * spectrum)):
+        bound = 2 * counts + sums + 2 * spectrum + frame + small
+        tracemalloc.start()
+        try:
+            acc = StackAccumulator((201, 201), mode)
+            for f in frames:
+                acc.add(f)
+            held, _ = tracemalloc.get_traced_memory()
+            acc.finalize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < bound and peak < bound, (mode, held, peak, bound)
 
 
 def test_pair_totals_conserved(rng):
@@ -395,6 +428,29 @@ def test_peak_snr_detects_a_planted_peak(rng):
     sub_like.values = np.ones_like(values)
     with pytest.raises(AnalysisError, match="zero variance"):
         peak_snr(sub_like)
+
+
+@pytest.mark.parametrize("h, w", [(81, 81), (80, 80), (80, 121), (201, 160)])
+def test_peak_snr_regions_are_chebyshev_squares(h, w):
+    """`peak_snr`'s per-axis window and annulus hold the bins whose Chebyshev
+    distance from (H - 1, W - 1) is at most 1 and within SNR_ANNULUS, on
+    odd, even and non-square regions: the same bin counts, and the same
+    statistics to the bit."""
+    rng = np.random.default_rng(h * w)
+    values = rng.normal(0.0, 1.0, (2 * h - 1, 2 * w - 1))
+    values[h - 2:h + 1, w - 2:w + 1] += 20.0
+    mask = rng.random(values.shape) < 0.05
+    rows = np.arange(2 * h - 1)[:, None]
+    cols = np.arange(2 * w - 1)[None, :]
+    cheb = np.maximum(np.abs(rows - (h - 1)), np.abs(cols - (w - 1)))
+    lo, hi = SNR_ANNULUS
+    in_peak = (cheb <= 1) & ~mask
+    in_bg = (cheb >= lo) & (cheb <= hi) & ~mask
+    snr = peak_snr(SubtractedMap(Mode.SUM, values, mask, (h, w)))
+    assert snr.n_peak_bins == np.count_nonzero(in_peak)
+    assert snr.n_background_bins == np.count_nonzero(in_bg)
+    assert snr.peak_mean == values[in_peak].mean()
+    assert snr.background_sigma == values[in_bg].std()
 
 
 @pytest.mark.parametrize("h, w", [(80, 80), (81, 81), (80, 81)])

@@ -1,6 +1,7 @@
 """End-to-end simulate/analyze wiring on a reduced but honest acquisition."""
 
 import csv
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -288,6 +289,31 @@ def test_mode_count_reuses_the_inferred_variance_fit(small_run, tmp_path, monkey
     assert np.isfinite([reused.d_pos, reused.d_mom]).all()
     assert (reused.d_pos, reused.d_mom) == (fresh.d_pos, fresh.d_mom)
     assert reused.as_dict() == products.report.as_dict()
+
+
+def test_a_failed_map_fit_is_not_refitted(tmp_path, monkeypatch):
+    """Six frames cannot support the image plane's map fit.  Its mode count
+    needs that fit's narrow width, and a refit of the same cut would fail
+    the same way, so none is made: no `curve_fit` call repeats the data of
+    another in the same process, where the refit made one call more for
+    each plane whose map fit failed."""
+    cfg = RunConfig().replace(**TINY)
+    sim = simulate(cfg, tmp_path / "run")
+    log = tmp_path / "curve_fit.log"
+    curve_fit = inference.curve_fit
+
+    def counted(model, jac, x, y, *args):
+        data = np.asarray(x).tobytes() + np.asarray(y).tobytes()
+        with open(log, "a") as fh:  # the forked worker appends to the same file
+            fh.write(f"{os.getpid()} {hashlib.sha256(data).hexdigest()}\n")
+        return curve_fit(model, jac, x, y, *args)
+
+    monkeypatch.setattr(inference, "curve_fit", counted)
+    products = analyze(sim.stack_paths["image"], sim.stack_paths["farfield"], cfg)
+    calls = log.read_text().splitlines()
+    assert products.warnings[0].startswith("sigma_pos fit:")
+    assert "image dimensionality: no narrow width, the sigma_pos fit failed" in products.warnings
+    assert len(set(calls)) == len(calls)
 
 
 def test_fit_records_carry_their_evaluation_counts(small_run, tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bpcam import EprReport, Plane, RunConfig, predict
-from bpcam.inference import AxisDimensionality
+from bpcam.inference import PIXEL_VAR_PAIR, AxisDimensionality
 
 PATH = Path(__file__).resolve().parents[1] / "scripts" / "sweep_mode_counts.py"
 
@@ -23,6 +23,16 @@ def sweep():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def binning_free_mode_count(cfg, prediction, narrow_key):
+    """Criterion 7's mode count, (sigma_+ / sigma_-)^2 times the coverage
+    squared, from the widths before pixel binning: on either plane the
+    broad width is the narrow one times sigma_+ / sigma_-."""
+    narrow = prediction[narrow_key]
+    marginal = 0.5 * math.hypot(narrow, narrow * math.sqrt(prediction["mode_count"]))
+    coverage = math.erf(cfg.roi_width * cfg.pixel_pitch / (2.0 * math.sqrt(2.0) * marginal))
+    return prediction["mode_count"] * coverage ** 2
 
 
 def hand_made_report(cfg, prediction, forms, scale, rel_err):
@@ -55,11 +65,15 @@ def test_closed_forms_and_summary_of_hand_made_rows(sweep):
     forms = sweep.closed_forms(cfg, prediction)
     assert set(forms["narrow"]) == set(sweep.NARROW)
     assert forms["narrow"]["epr_product_hbar2"] == prediction["epr_product_hbar2"]
-    # criterion 7's coverage-corrected mode counts and the broad widths
-    assert forms["image"]["d_pos"] == pytest.approx(3050, rel=0.01)
-    assert forms["farfield"]["d_mom"] == pytest.approx(3380, rel=0.01)
+    # the broad widths and criterion 7's coverage-corrected mode counts, as detected
+    pair_var = PIXEL_VAR_PAIR * cfg.pixel_pitch ** 2
     assert forms["image"]["sigma_broad_um"] == pytest.approx(
-        cfg.magnification * prediction["sigma_plus_um"])
+        math.hypot(cfg.magnification * prediction["sigma_plus_um"], math.sqrt(pair_var)))
+    for plane, coord, binning_free, detected in (("image", "pos", 3050, 0.950),
+                                                ("farfield", "mom", 3380, 0.873)):
+        reference = binning_free_mode_count(cfg, prediction, f"sigma_{coord}_um")
+        assert reference == pytest.approx(binning_free, rel=0.01)
+        assert forms[plane][f"d_{coord}"] == pytest.approx(detected * reference, rel=0.005)
 
     # seeds 1 and 2 read 10 % high with 4 % errors, seed 3 reads exact
     rows = []
