@@ -7,7 +7,8 @@
 
 The default output directory is $BPCAM_OUTPUT_DIR if set, else ./bpcam-run.
 Exit status: 0 on success, 1 on any domain error (bad parameters, corrupt
-stacks, failed analysis), 2 on command line misuse.
+stacks, failed analysis) or file that cannot be read or written, 2 on
+command line misuse.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BpcamError as exc:
+    except (BpcamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

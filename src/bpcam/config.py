@@ -3,11 +3,13 @@
 `RunConfig` collects every knob of a simulated acquisition with defaults
 matching the desk-scale reference run (collinear type-I down-conversion of a
 355 nm pump, 201 x 201 EMCCD regions in both an image plane at M = 2.5 and a
-far field with a 10 cm effective focal length).  Configurations load from
-JSON with per-field validation; length-like fields accept unit strings
-("16 um", "0.355um", "100 mm").  The sha256 digest of the canonical form is
-stamped into every stack file a run produces, so analysis can refuse to mix
-stacks from different configurations.
+far field with a 10 cm effective focal length).  Every configuration, however
+it is made (`RunConfig(...)`, `replace`, `from_dict`/`load`), is checked by
+the constructor alone and refused with a `ParameterError`.  All lengths are
+micrometres; in JSON, length-like fields also accept unit strings ("16 um",
+"0.355um", "100 mm").  The sha256 digest of the canonical form is stamped
+into every stack file a run produces, so analysis can refuse to mix stacks
+from different configurations.
 """
 
 from __future__ import annotations
@@ -15,18 +17,48 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import re
 from dataclasses import dataclass
 
 from .emccd import CameraParams
 from .errors import ParameterError
+from .inference import MIN_BOOTSTRAP_BLOCKS
 from .model import OpticalSystem, Plane, SourceParams
 from .sampler import AttenuationMode, FluxConfig
-from .units import parse_length
 
 #: fields that accept "value unit" strings and are stored in micrometres
 _LENGTH_FIELDS = frozenset(
     {"pump_wavelength", "pump_waist", "crystal_length", "effective_focal", "pixel_pitch"}
 )
+
+# "µm" is the micro sign, "μm" the greek mu
+_TO_UM = {"nm": 1e-3, "um": 1.0, "µm": 1.0, "μm": 1.0, "mm": 1e3, "cm": 1e4, "m": 1e6}
+_NUM_UNIT = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*([a-zµμ]+)\s*$")
+
+#: per annotation: the accepted types and how a refusal names them (a bool
+#: is an int to Python, so only bool fields take one)
+_FIELD_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def parse_length(value: str, field: str = "length") -> float:
+    """Return a length string such as "355 nm", "0.66 mm" or "16 um" in micrometres."""
+    m = _NUM_UNIT.match(value) if isinstance(value, str) else None
+    if not m:
+        raise ParameterError(
+            f"{field}: cannot parse {value!r} (expected e.g. '355 nm', '0.66 mm', '16 um')"
+        )
+    num, unit = m.groups()
+    try:
+        scale = _TO_UM[unit]
+    except KeyError:
+        raise ParameterError(f"{field}: unknown length unit {unit!r} in {value!r}") from None
+    return float(num) * scale
 
 
 @dataclass(frozen=True)
@@ -71,24 +103,36 @@ class RunConfig:
     snr_gate: float = 5.0
 
     def __post_init__(self):
-        if self.roi_height < 1 or self.roi_width < 1:
-            raise ParameterError("roi dimensions must be >= 1")
-        if not (0.0 < self.heralding_efficiency <= 1.0):
-            raise ParameterError("heralding_efficiency must be in (0, 1]")
-        if self.photons_per_pixel <= 0:
-            raise ParameterError("photons_per_pixel must be > 0")
-        if self.n_frames < 2:
-            raise ParameterError("n_frames must be >= 2")
-        if self.n_dark_frames < 2:
-            raise ParameterError("n_dark_frames must be >= 2")
-        if not (0.0 < self.target_occupancy < 1.0):
-            raise ParameterError("target_occupancy must be in (0, 1)")
-        AttenuationMode(self.attenuation_mode)  # raises ValueError on junk
-        # constructing the derived objects validates everything else
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            types, name = _FIELD_TYPES[f.type]
+            if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+                raise ParameterError(f"field {f.name!r} must be {name}, got {value!r}")
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
+        for name in ("n_frames", "n_dark_frames"):
+            if getattr(self, name) < 2:
+                raise ParameterError(f"{name} must be >= 2, got {getattr(self, name)}")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.n_bootstrap < 0:
+            raise ParameterError(f"n_bootstrap must be >= 0, got {self.n_bootstrap}")
+        min_blocks = MIN_BOOTSTRAP_BLOCKS if self.n_bootstrap > 0 else 1
+        if self.n_blocks < min_blocks:
+            raise ParameterError(
+                f"n_blocks must be >= {min_blocks} with n_bootstrap = {self.n_bootstrap}, "
+                f"got {self.n_blocks}"
+            )
+        if not self.photons_per_pixel > 0:
+            raise ParameterError(f"photons_per_pixel must be > 0, got {self.photons_per_pixel}")
+        if not 0.0 < self.target_occupancy < 1.0:
+            raise ParameterError(f"target_occupancy must be in (0, 1), got {self.target_occupancy}")
+        # the derived objects check the physics ranges
         self.source()
-        self.optics(Plane.IMAGE)
-        self.optics(Plane.FAR_FIELD)
-        self.camera(Plane.IMAGE)
+        for plane in Plane:
+            self.optics(plane)
+            self.camera(plane)
+        self.flux()
 
     # -- derived parameter objects ------------------------------------------
 
@@ -136,16 +180,19 @@ class RunConfig:
 
         Each generated pair contributes 2 * heralding_efficiency surviving
         photons on average, so equal photons_per_pixel at different
-        efficiencies automatically compares equal photon flux.
+        efficiencies automatically compares equal photon flux.  A zero
+        efficiency, which `FluxConfig` refuses, gives an infinite rate.
         """
-        n_pixels = self.roi_height * self.roi_width
-        return self.photons_per_pixel * n_pixels / (2.0 * self.heralding_efficiency)
+        n_photons = self.photons_per_pixel * self.roi_height * self.roi_width
+        if self.heralding_efficiency == 0:
+            return math.inf
+        return n_photons / (2.0 * self.heralding_efficiency)
 
     def flux(self) -> FluxConfig:
         return FluxConfig(
             mean_pairs_per_frame=self.mean_pairs_per_frame,
             heralding_efficiency=self.heralding_efficiency,
-            attenuation_mode=AttenuationMode(self.attenuation_mode),
+            attenuation_mode=self.attenuation_mode,
         )
 
     # -- serialisation -------------------------------------------------------
@@ -182,16 +229,15 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ParameterError(f"configuration must be a JSON object, got {type(data).__name__}")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        fields = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key not in fields:
                 known = ", ".join(sorted(fields))
                 raise ParameterError(f"unknown configuration field {key!r} (known: {known})")
-            if key in _LENGTH_FIELDS:
-                kwargs[key] = parse_length(value, field=key)
-                continue
-            kwargs[key] = _coerce(key, value, fields[key].type)
+            if key in _LENGTH_FIELDS and isinstance(value, str):
+                value = parse_length(value, field=key)
+            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod
@@ -203,22 +249,3 @@ class RunConfig:
                 raise ParameterError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(data)
 
-
-def _coerce(key: str, value, annotation) -> object:
-    """Validate a JSON value against the (stringified) field annotation."""
-    ann = str(annotation)
-    if "bool" in ann:
-        if not isinstance(value, bool):
-            raise ParameterError(f"field {key!r} must be true/false, got {value!r}")
-        return value
-    if ann.startswith("int"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"field {key!r} must be an integer, got {value!r}")
-        return value
-    if ann.startswith("str"):
-        if not isinstance(value, str):
-            raise ParameterError(f"field {key!r} must be a string, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)

@@ -166,9 +166,13 @@ class StackWriter(AtomicFile):
             raise ParameterError("config_digest must be exactly 32 bytes")
         h, w = int(shape[0]), int(shape[1])
         self.header = StackHeader(kind, plane, w, h, 0, int(seed), bytes(config_digest))
+        try:
+            packed = self.header.pack()
+        except struct.error:
+            raise ParameterError(f"the header cannot hold shape {(h, w)} and seed {seed}") from None
         self.n_frames = 0
         super().__init__(path, "wb")
-        self.fh.write(self.header.pack())
+        self.fh.write(packed)
 
     def write(self, frame) -> None:
         frame = np.asarray(frame)

@@ -40,6 +40,9 @@ PIXEL_VAR_PAIR = 1.0 / 6.0
 #: narrow peaks are fitted within this many pixels of their highest bin
 NARROW_WINDOW_PX = 40
 
+#: the block bootstrap resamples at least this many blocks
+MIN_BOOTSTRAP_BLOCKS = 10
+
 
 def gaussian(x, amplitude, center, sigma, offset):
     return offset + amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
@@ -491,20 +494,23 @@ def block_bootstrap(
 ) -> BootstrapResult:
     """Standard errors of cut-derived statistics by block resampling.
 
-    `blocks` maps each axis to its list of block cuts, at least 10, as
-    `StackResult.blocks` holds them for an accumulator given `make_blocks`'
-    edges.  Each resample draws blocks with replacement, pools their cuts
-    (`combine_cuts`) and evaluates `statistic(cuts) -> dict[str, float]`,
-    the point estimators on the pooled cuts; resamples where the statistic
-    raises AnalysisError/FitFailureError are skipped and counted.
+    `blocks` maps each axis to its list of block cuts, at least
+    `MIN_BOOTSTRAP_BLOCKS`, as `StackResult.blocks` holds them for an
+    accumulator given `make_blocks`' edges.  Each resample draws blocks
+    with replacement, pools their cuts (`combine_cuts`) and evaluates
+    `statistic(cuts) -> dict[str, float]`, the point estimators on the
+    pooled cuts; resamples where the statistic raises
+    AnalysisError/FitFailureError are skipped and counted.
     """
     n_blocks = {ax: len(b) for ax, b in blocks.items()}
     bset = set(n_blocks.values())
     if len(bset) != 1:
         raise ParameterError(f"axes disagree on block count: {n_blocks}")
     nb = bset.pop()
-    if nb < 10:
-        raise ParameterError(f"need at least 10 blocks for block bootstrap, got {nb}")
+    if nb < MIN_BOOTSTRAP_BLOCKS:
+        raise ParameterError(
+            f"need at least {MIN_BOOTSTRAP_BLOCKS} blocks for block bootstrap, got {nb}"
+        )
     rng = np.random.default_rng(seed)
     samples: dict[str, list[float]] = {}
     n_failed = 0

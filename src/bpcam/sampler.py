@@ -50,12 +50,15 @@ class FluxConfig:
     attenuation_mode: AttenuationMode = AttenuationMode.AFTER_CRYSTAL
 
     def __post_init__(self):
-        if not (self.mean_pairs_per_frame >= 0 and np.isfinite(self.mean_pairs_per_frame)):
-            raise ParameterError(f"mean_pairs_per_frame must be >= 0, got {self.mean_pairs_per_frame!r}")
         if not (0.0 < self.heralding_efficiency <= 1.0):
             raise ParameterError(
                 f"heralding_efficiency must be in (0, 1], got {self.heralding_efficiency!r}"
             )
+        if not (self.mean_pairs_per_frame >= 0 and np.isfinite(self.mean_pairs_per_frame)):
+            raise ParameterError(f"mean_pairs_per_frame must be >= 0, got {self.mean_pairs_per_frame!r}")
+        modes = [m.value for m in AttenuationMode]
+        if self.attenuation_mode not in modes:
+            raise ParameterError(f"attenuation_mode must be in {modes}, got {self.attenuation_mode!r}")
         object.__setattr__(self, "attenuation_mode", AttenuationMode(self.attenuation_mode))
 
 

@@ -127,6 +127,28 @@ def test_report_missing_file(tmp_path, capsys):
     assert "report not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--config", "missing.json"],
+    ["report", "--stack", "missing.bpcm"],
+    ["report", "--report", "."],  # a directory where a report.json should be
+])
+def test_unreadable_file_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_config_values_exit_1_before_any_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"attenuation_mode": "junk"}))
+    assert main(["predict", "--config", str(cfg_path)]) == 1
+    assert "attenuation_mode" in capsys.readouterr().err
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--seed", "-1", "--out-dir", str(out_dir)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_misuse_exits_2(capsys):
     for argv in ([], ["frobnicate"], ["simulate", "--plane", "sideways"],
                  ["simulate", "--threshold-k", "3.5"]):  # k is always calibrated

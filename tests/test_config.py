@@ -5,8 +5,8 @@ import json
 import pytest
 
 from bpcam import AttenuationMode, Plane, RunConfig
+from bpcam.config import parse_length
 from bpcam.errors import ParameterError
-from bpcam.units import parse_length
 
 
 def test_defaults_are_self_consistent():
@@ -62,13 +62,14 @@ def test_length_fields_accept_unit_strings():
 
 
 def test_parse_length_forms():
-    assert parse_length(2.5) == 2.5
     assert parse_length("0.66 mm") == pytest.approx(660.0)
     assert parse_length("355nm") == pytest.approx(0.355)
     assert parse_length("1e-1 m") == pytest.approx(100000.0)
-    for bad in ("sixteen", "16 lightyears", True, [16]):
+    for bad in ("sixteen", "16 lightyears", True, [16], 2.5):
         with pytest.raises(ParameterError):
             parse_length(bad)
+    # a bare number is micrometres already: the constructor takes it as it is
+    assert RunConfig.from_dict({"pump_waist": 660}).pump_waist == 660.0
 
 
 def test_field_type_coercion_errors():
@@ -81,11 +82,36 @@ def test_field_type_coercion_errors():
         ("qe", "high"),
         ("seed", None),
         ("qe", None),
+        ("attenuation_mode", "junk"),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("n_bootstrap", -1),
+        ("n_blocks", 0),
     ]:
         data = dict(base)
         data[key] = value
         with pytest.raises(ParameterError):
             RunConfig.from_dict(data)
+    # the block bootstrap needs at least 10 blocks
+    with pytest.raises(ParameterError, match="n_blocks"):
+        RunConfig.from_dict(dict(base, n_blocks=5, n_bootstrap=5))
+
+
+def test_constructor_and_replace_check_types_and_ranges():
+    """`RunConfig(...)` and `replace` are checked as JSON loading is."""
+    with pytest.raises(ParameterError, match="qe"):
+        RunConfig(qe="high")
+    with pytest.raises(ParameterError, match="n_frames"):
+        RunConfig(n_frames="20")
+    with pytest.raises(ParameterError, match="seed"):
+        RunConfig().replace(seed=-1)
+
+
+def test_int_for_a_float_field_is_stored_as_float():
+    """An identical run given a length as an int is the same run."""
+    cfg = RunConfig(pixel_pitch=16)
+    assert type(cfg.pixel_pitch) is float
+    assert cfg.sim_digest() == RunConfig().sim_digest()
 
 
 @pytest.mark.parametrize(
@@ -102,10 +128,11 @@ def test_field_type_coercion_errors():
         dict(pump_waist=-10.0),
         dict(magnification=0.0),
         dict(qe=2.0),
+        dict(smear_prob_farfield=1.5),
     ],
 )
 def test_validation_rejects_bad_values(changes):
-    with pytest.raises((ParameterError, ValueError)):
+    with pytest.raises(ParameterError):
         RunConfig().replace(**changes)
 
 

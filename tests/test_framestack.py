@@ -131,6 +131,15 @@ def test_writer_validation(tmp_path):
             wr.write(np.zeros((4, 4), dtype=bool))
 
 
+@pytest.mark.parametrize("changes", [dict(seed=-1), dict(seed=2**64), dict(shape=(3, 2**32))])
+def test_header_overflow_is_refused_before_any_file(tmp_path, changes):
+    """A seed or shape the header cannot hold leaves no temporary file behind."""
+    kwargs = dict(kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON) | changes
+    with pytest.raises(ParameterError, match="header cannot hold"):
+        StackWriter(tmp_path / "s.bpcm", **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_truncated_payload_detected(tmp_path, rng):
     path = tmp_path / "s.bpcm"
     write_stack(path, [rng.random((5, 5)) < 0.5 for _ in range(4)], KIND_BINARY)
