@@ -4,9 +4,9 @@
 Defaults reproduce the package's reference acquisition: 2 x 10^4 frames per
 optical plane on a 201 x 201 pixel region at 2% mean occupancy, followed by
 the correlation analysis.  The two optical planes run concurrently and use
-up to two cores; on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6, scipy 1.17.1)
-the whole run took 101 s (simulate 37.9 s, analyze 63.3 s), and 86-106 s
-inside the test suite (criterion 2 requires under 120 s).  Outputs land in
+up to two cores; on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6) at seed 7 the
+whole run took 54.1 s (simulate 26.1 s, analyze 28.0 s) with a peak
+resident set of 55.5 MB (criterion 2 requires under 120 s).  Outputs land in
 --out-dir: the three .bpcm stacks, sim_summary.json, report.json/report.txt
 and the two cross-section CSVs.  After the report it prints the simulate
 and analyze times and the peak resident set, defined as perfbench's

@@ -6,21 +6,18 @@ For each seed, simulates the reference configuration at reduced scale
 
   * the narrow figures (sigma_pos_um, sigma_mom_um, cond_var_x_um2,
     cond_var_p_hbar2_per_um2, epr_product_hbar2) and their bootstrap
-    errors, beside `predict`'s closed forms;
+    errors;
   * d_pos, d_mom and their bootstrap errors, and the failed resamples of
     each plane;
   * each axis's sigma_broad_um and sigma_marginal_um from the report's
     dimensionality detail;
-  * the closed forms: the coverage-corrected mode counts of acceptance
-    criterion 7, and the broad (M sigma_+, f / (k sigma_-)) and marginal
-    widths of each plane, all with the widths as detected.
+  * the report's `prediction`: `model.predict`'s closed form of each of
+    these, the mode counts and the broad and marginal widths as detected.
 
 Everything goes to one JSON file, with the median and range over the seeds
 of each figure's ratio to its closed form, the median of |ratio - 1|, and
 for the narrow figures the share of seeds whose closed form lies within
-two bootstrap errors.  The script reads only report keys that every
-version of the analysis since the mode counts were added writes, so it
-runs unchanged on an older checkout:
+two bootstrap errors:
 
     PYTHONPATH=src python3 scripts/sweep_mode_counts.py --seeds 1-10 --out sweep.json
 
@@ -37,11 +34,10 @@ import tempfile
 import time
 
 from bpcam import RunConfig
-from bpcam.inference import PIXEL_VAR_PAIR
 from bpcam.pipeline import run
 
 PLANES = (("image", "pos"), ("farfield", "mom"))
-#: the narrow figures, each under the same key in the report and in `predict`'s closed form
+#: the narrow figures, each under the same key in the report and in its prediction
 NARROW = ("sigma_pos_um", "sigma_mom_um", "cond_var_x_um2", "cond_var_p_hbar2_per_um2",
           "epr_product_hbar2")
 #: the reduced scale of every seed: frames per plane, dark frames, bootstrap resamples
@@ -57,35 +53,6 @@ def parse_seeds(text: str) -> list:
     return sorted(seeds)
 
 
-def closed_forms(cfg: RunConfig, prediction: dict) -> dict:
-    """The narrow figures, and per plane the broad and marginal widths (um)
-    and the coverage-corrected mode count.
-
-    The coverage is that of criterion 7: the share of each plane's
-    single-photon marginal, of width half the root sum of squares of the
-    narrow and broad widths, that falls on the region, squared for two axes.
-    The mode counts and the broad and marginal widths are the report's as
-    detected, so their closed forms take the widths as detected too: pixel
-    binning adds PIXEL_VAR_PAIR px^2 to a pair coordinate's variance and
-    1/12 px^2 to a single photon's.  On the far field's narrow width of
-    1.07 px that puts d_mom at 0.873 of the binning-free count.
-    """
-    mag = cfg.magnification
-    ff = cfg.effective_focal / cfg.source().wavenumber
-    minus, plus = prediction["sigma_minus_um"], prediction["sigma_plus_um"]
-    extent_um = cfg.roi_width * cfg.pixel_pitch  # square roi
-    pair_var, photon_var = PIXEL_VAR_PAIR * cfg.pixel_pitch ** 2, cfg.pixel_pitch ** 2 / 12.0
-    out = {"narrow": {key: prediction[key] for key in NARROW}}
-    for (plane, coord), (narrow, broad) in zip(PLANES, ((mag * minus, mag * plus),
-                                                        (ff / plus, ff / minus))):
-        marginal = math.sqrt(0.25 * (narrow ** 2 + broad ** 2) + photon_var)
-        narrow, broad = (math.sqrt(sigma ** 2 + pair_var) for sigma in (narrow, broad))
-        coverage = math.erf(extent_um / (2.0 * math.sqrt(2.0) * marginal))
-        out[plane] = {"sigma_broad_um": broad, "sigma_marginal_um": marginal,
-                      f"d_{coord}": (coverage * broad / narrow) ** 2}
-    return out
-
-
 def one_seed(cfg: RunConfig) -> dict:
     with tempfile.TemporaryDirectory(prefix="bpcam-sweep-") as work:
         t0 = time.perf_counter()
@@ -97,8 +64,7 @@ def one_seed(cfg: RunConfig) -> dict:
 def row_of(cfg: RunConfig, report: dict, wall_s: float) -> dict:
     """One seed's record from its report (`EprReport.as_dict()`)."""
     nan = float("nan")
-    row = {"seed": cfg.seed, "wall_s": wall_s,
-           "closed_form": closed_forms(cfg, report["prediction"]),
+    row = {"seed": cfg.seed, "wall_s": wall_s, "prediction": report["prediction"],
            "narrow": {key: {"value": report[key], "err": report["errors"].get(key, nan)}
                       for key in NARROW}}
     for plane, coord in PLANES:
@@ -121,15 +87,16 @@ def summarise(rows: list) -> dict:
     and the share of seeds whose closed form lies within two errors."""
     ratios: dict = {}
     for row in rows:
+        want = row["prediction"]
         for key, got in row["narrow"].items():
-            ratios.setdefault(key, []).append(got["value"] / row["closed_form"]["narrow"][key])
+            ratios.setdefault(key, []).append(got["value"] / want[key])
         for plane, coord in PLANES:
-            want = row["closed_form"][plane]
             got = row[plane]
             ratios.setdefault(f"d_{coord}", []).append(got[f"d_{coord}"] / want[f"d_{coord}"])
             for axis, est in got["axes"].items():
-                for key in ("sigma_broad_um", "sigma_marginal_um"):
-                    ratios.setdefault(f"{plane}.{axis}.{key}", []).append(est[key] / want[key])
+                for width in ("broad", "marginal"):
+                    ratios.setdefault(f"{plane}.{axis}.sigma_{width}_um", []).append(
+                        est[f"sigma_{width}_um"] / want[f"sigma_{width}_{plane}_um"])
     out = {}
     for key, vals in ratios.items():
         finite = [v for v in vals if math.isfinite(v)]
@@ -140,7 +107,7 @@ def summarise(rows: list) -> dict:
                                        if finite else float("nan")),
                     "n_finite": len(finite)}
     for key in NARROW:
-        pairs = [(row["narrow"][key], row["closed_form"]["narrow"][key]) for row in rows]
+        pairs = [(row["narrow"][key], row["prediction"][key]) for row in rows]
         out[key]["err_median"] = statistics.median(got["err"] for got, _ in pairs)
         out[key]["within_2se"] = sum(abs(got["value"] - want) <= 2.0 * got["err"]
                                      for got, want in pairs) / len(rows)

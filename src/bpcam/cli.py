@@ -52,8 +52,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_predict(args) -> int:
     cfg = _load_config(args)
-    pred = predict(cfg.source(), cfg.optics(Plane.IMAGE), cfg.optics(Plane.FAR_FIELD))
-    d = pred.as_dict()
+    d = predict(cfg).as_dict()
     if args.json:
         print(json.dumps(d, indent=2))
         return 0
@@ -129,7 +128,10 @@ def _cmd_report(args) -> int:
         if not Path(report_path).exists():
             raise BpcamError(f"report not found: {report_path} (run `bpcam analyze` first?)")
         with open(report_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise BpcamError(f"{report_path}: not valid JSON ({exc})") from exc
         if did_something:
             print()
         print(format_report(data))

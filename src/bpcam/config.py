@@ -127,6 +127,10 @@ class RunConfig:
             raise ParameterError(f"photons_per_pixel must be > 0, got {self.photons_per_pixel}")
         if not 0.0 < self.target_occupancy < 1.0:
             raise ParameterError(f"target_occupancy must be in (0, 1), got {self.target_occupancy}")
+        if not math.isfinite(self.snr_gate):
+            raise ParameterError(f"snr_gate must be finite, got {self.snr_gate}")
+        if self.sparse_threshold < 0:
+            raise ParameterError(f"sparse_threshold must be >= 0, got {self.sparse_threshold}")
         # the derived objects check the physics ranges
         self.source()
         for plane in Plane:

@@ -70,6 +70,8 @@ class CameraParams:
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ParameterError(f"{name} must be in [0, 1), got {v!r}")
+        if not math.isfinite(self.readout_mean):
+            raise ParameterError(f"readout_mean must be finite, got {self.readout_mean!r}")
         if not self.readout_sigma > 0:
             raise ParameterError("readout_sigma must be > 0")
         if not self.em_gain >= 1.0:

@@ -65,6 +65,21 @@ class StackHeader:
     seed: int
     config_digest: bytes
 
+    def __post_init__(self):
+        if self.kind not in _KIND_NAMES:
+            raise ParameterError(f"unknown frame kind {self.kind!r}")
+        if self.plane not in _PLANE_NAMES:
+            raise ParameterError(f"unknown plane code {self.plane!r}")
+        if self.width < 1 or self.height < 1:
+            raise ParameterError(f"degenerate frame shape {self.shape}")
+        if len(self.config_digest) != 32:
+            raise ParameterError("config_digest must be exactly 32 bytes")
+        try:
+            self.pack()
+        except struct.error:
+            raise ParameterError(f"the header cannot hold shape {self.shape}, frame count "
+                                 f"{self.frame_count} and seed {self.seed}") from None
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.height, self.width)
@@ -100,13 +115,10 @@ def _parse_header(raw: bytes, path) -> StackHeader:
         raise FrameFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FrameFormatError(f"{path}: unsupported format version {version}")
-    if kind not in _KIND_NAMES:
-        raise FrameFormatError(f"{path}: unknown frame kind {kind}")
-    if plane not in _PLANE_NAMES:
-        raise FrameFormatError(f"{path}: unknown plane code {plane}")
-    if width < 1 or height < 1:
-        raise FrameFormatError(f"{path}: degenerate frame shape {height}x{width}")
-    return StackHeader(kind, plane, width, height, count, seed, digest)
+    try:
+        return StackHeader(kind, plane, width, height, count, seed, digest)
+    except ParameterError as exc:
+        raise FrameFormatError(f"{path}: {exc}") from None
 
 
 class AtomicFile:
@@ -158,21 +170,11 @@ class StackWriter(AtomicFile):
 
     def __init__(self, path, *, kind: int, plane: int, shape: tuple[int, int],
                  seed: int, config_digest: bytes):
-        if kind not in _KIND_NAMES:
-            raise ParameterError(f"unknown frame kind {kind!r}")
-        if plane not in _PLANE_NAMES:
-            raise ParameterError(f"unknown plane code {plane!r}")
-        if len(config_digest) != 32:
-            raise ParameterError("config_digest must be exactly 32 bytes")
-        h, w = int(shape[0]), int(shape[1])
-        self.header = StackHeader(kind, plane, w, h, 0, int(seed), bytes(config_digest))
-        try:
-            packed = self.header.pack()
-        except struct.error:
-            raise ParameterError(f"the header cannot hold shape {(h, w)} and seed {seed}") from None
+        self.header = StackHeader(kind, plane, int(shape[1]), int(shape[0]), 0, int(seed),
+                                  bytes(config_digest))
         self.n_frames = 0
         super().__init__(path, "wb")
-        self.fh.write(packed)
+        self.fh.write(self.header.pack())
 
     def write(self, frame) -> None:
         frame = np.asarray(frame)

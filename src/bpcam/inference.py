@@ -33,9 +33,7 @@ import numpy as np
 
 from .correlate import MapCut, SubtractedMap, central_cuts, pair_axis
 from .errors import AnalysisError, FitFailureError, ParameterError
-
-#: variance added to a pair coordinate (sum or difference of two binned values)
-PIXEL_VAR_PAIR = 1.0 / 6.0
+from .model import PIXEL_VAR_PAIR, coverage
 
 #: narrow peaks are fitted within this many pixels of their highest bin
 NARROW_WINDOW_PX = 40
@@ -381,10 +379,10 @@ def axis_dimensionality(
     anti-correlated momenta), or `narrow_fit` when the caller already made
     that fit.  The broad one follows from the single-photon width
     (`fit_singles_profile`) by 4 Var(x1) = Var(x1 + x2) + Var(x1 - x2).
-    All widths are as detected: binning adds 1/12 px^2 per photon and
-    1/6 px^2 per pair coordinate, so the identity holds.  The coverage
-    erf(extent / (2 sqrt(2) sigma_marginal)) is the chance that a photon
-    lands on the cut's pixel columns (rows) at all.
+    All widths are as detected: binning adds `model.PIXEL_VAR_PHOTON` per
+    photon and PIXEL_VAR_PAIR per pair coordinate, so the identity holds.  The
+    `coverage` of the cut's pixel columns (rows) is the chance that a
+    photon lands on them at all.
     """
     wn = narrow_fit or fit_map_width(cut, mask, pitch_um)
     narrow_um = wn.fit.sigma * pitch_um
@@ -396,13 +394,12 @@ def axis_dimensionality(
             f"fitted {narrow_um:.3g} um against a single-photon width of {marg_um:.3g} um"
         )
     broad_um = math.sqrt(broad_var)
-    extent_px = cut.photons.size
-    coverage = math.erf(extent_px * pitch_um / (2.0 * math.sqrt(2.0) * marg_um))
+    cov = coverage(cut.photons.size * pitch_um, marg_um)
     ratio = broad_um / narrow_um
     return AxisDimensionality(
         ratio=ratio,
-        coverage=coverage,
-        d_axis=coverage * ratio,
+        coverage=cov,
+        d_axis=cov * ratio,
         sigma_narrow_um=narrow_um,
         sigma_broad_um=broad_um,
         sigma_marginal_um=marg_um,

@@ -22,14 +22,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 TWO_PI = 2.0 * math.pi
 
 #: EPR bound on the product of inferred variances: separable states satisfy
 #: var(x1|x2) * var(p1|p2) >= 1/4 (hbar = 1).
 HEISENBERG_PRODUCT = 0.25
+
+#: variance (px^2) that pixel binning adds to one photon's detected coordinate
+PIXEL_VAR_PHOTON = 1.0 / 12.0
+#: variance (px^2) added to a pair coordinate (sum or difference of two binned values)
+PIXEL_VAR_PAIR = 1.0 / 6.0
 
 
 class Plane(str, enum.Enum):
@@ -146,9 +155,17 @@ def predicted_correlation_lengths(
 def predicted_mode_count(source: SourceParams) -> float:
     """Width-ratio mode count per transverse plane, (sigma_plus/sigma_minus)^2.
 
-    It is not the state's Schmidt number (Law & Eberly, PRL 92, 127903 (2004)).
+    Binning-free and without coverage (`predict`'s d_pos and d_mom are as
+    detected).  Neither the Fedorov ratio (Fedorov et al., PRA 69, 052117
+    (2004)) nor the Schmidt number (Law & Eberly, PRL 92, 127903 (2004)).
     """
     return (source.sigma_plus / source.sigma_minus) ** 2
+
+
+def coverage(extent_um: float, marginal_um: float) -> float:
+    """Chance that a photon of single-photon width `marginal_um` lands on
+    `extent_um` of sensor centred on the optical axis, along one axis."""
+    return math.erf(extent_um / (2.0 * math.sqrt(2.0) * marginal_um))
 
 
 def analytic_conditional_variances(source: SourceParams) -> tuple[float, float]:
@@ -173,7 +190,7 @@ def analytic_conditional_variances(source: SourceParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AnalyticPrediction:
-    """Closed-form expectations for a source + two optical systems."""
+    """Closed-form expectations for a run configuration (`predict`)."""
 
     sigma_minus_um: float
     sigma_plus_um: float
@@ -183,17 +200,45 @@ class AnalyticPrediction:
     cond_var_x_um2: float
     cond_var_p_hbar2_per_um2: float
     epr_product_hbar2: float
+    sigma_broad_image_um: float
+    sigma_marginal_image_um: float
+    sigma_broad_farfield_um: float
+    sigma_marginal_farfield_um: float
+    d_pos: float
+    d_mom: float
 
     def as_dict(self) -> dict:
         return {**asdict(self), "heisenberg_bound_hbar2": HEISENBERG_PRODUCT}
 
 
-def predict(
-    source: SourceParams, image: OpticalSystem, farfield: OpticalSystem
-) -> AnalyticPrediction:
-    """Evaluate every closed-form quantity the simulation should reproduce."""
-    sigma_pos, sigma_mom = predicted_correlation_lengths(source, image, farfield)
+def predict(config: RunConfig) -> AnalyticPrediction:
+    """Every closed-form quantity the report measures, as it measures it.
+
+    The narrow widths and variances are binning-free, as reported.  Each
+    plane's broad width (sigma_+ / sigma_- times the narrow one) and
+    single-photon marginal are as detected: binning adds PIXEL_VAR_PAIR
+    px^2 to a pair coordinate and PIXEL_VAR_PHOTON px^2 to one photon.
+    `d_pos` and `d_mom` are the product over the two axes of `coverage`
+    times broad / narrow, all as detected, the columns spanning roi_width
+    pixels and the rows roi_height.  On a smeared image plane the report's
+    `d_pos` squares the column's estimate (`inference.dimensionality`), so
+    on a non-square region the two differ.
+    """
+    source = config.source()
+    sigma_pos, sigma_mom = predicted_correlation_lengths(
+        source, config.optics(Plane.IMAGE), config.optics(Plane.FAR_FIELD))
     var_x, var_p = analytic_conditional_variances(source)
+    pitch = config.pixel_pitch
+    detected = {}
+    for plane, coord, narrow in (("image", "pos", sigma_pos), ("farfield", "mom", sigma_mom)):
+        # both planes' broad / narrow is sigma_+ / sigma_-
+        broad = narrow * source.sigma_plus / source.sigma_minus
+        marginal = math.sqrt(0.25 * (narrow ** 2 + broad ** 2) + PIXEL_VAR_PHOTON * pitch ** 2)
+        narrow, broad = (math.sqrt(w ** 2 + PIXEL_VAR_PAIR * pitch ** 2) for w in (narrow, broad))
+        detected[f"sigma_broad_{plane}_um"] = broad
+        detected[f"sigma_marginal_{plane}_um"] = marginal
+        detected[f"d_{coord}"] = math.prod(coverage(extent_px * pitch, marginal) * broad / narrow
+                                           for extent_px in (config.roi_width, config.roi_height))
     return AnalyticPrediction(
         sigma_minus_um=source.sigma_minus,
         sigma_plus_um=source.sigma_plus,
@@ -203,4 +248,5 @@ def predict(
         cond_var_x_um2=var_x,
         cond_var_p_hbar2_per_um2=var_p,
         epr_product_hbar2=var_x * var_p,
+        **detected,
     )

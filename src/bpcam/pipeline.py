@@ -137,10 +137,13 @@ def _over_planes(fn, planes, *args) -> dict:
 
     The rest are submitted before the caller starts on the first, so the
     worker forks before the caller grows and does not inherit its arrays.
-    A process, not a thread: the per-frame work, the sparse pair counting
-    and the fits hold the GIL.  The fork starts it with the caller's imports
-    done; it needs a POSIX fork, and the caller should run no other threads
-    while it forks.  A single plane starts no process.
+    `analyze`'s spectral route does not hold the GIL (numpy's FFTs and
+    products release it: two threads ran it 1.9-2.1x faster than one), so
+    threads would pay there too.  It forks because one process holding
+    both planes' accumulators would raise the peak resident set.  The fork
+    starts the worker with the caller's imports done; it needs a POSIX
+    fork, and the caller should run no other threads while it forks.  A
+    single plane starts no process.
     """
     first, rest = planes[0], planes[1:]
     if not rest:
@@ -462,10 +465,8 @@ def analyze(
     detail.update(p.records[step] for step in steps for p in planes if step in p.records)
 
     h, w = config.roi
-    prediction = predict(config.source(), config.optics(Plane.IMAGE),
-                         config.optics(Plane.FAR_FIELD))
     report = EprReport(
-        prediction=prediction.as_dict(),
+        prediction=predict(config).as_dict(),
         n_frames={"image": ip.n_frames, "farfield": ff.n_frames},
         occupancy={
             "image": ip.total_ones / (ip.n_frames * h * w),

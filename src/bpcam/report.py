@@ -48,8 +48,8 @@ def format_report(report) -> str:
          d.get("cond_var_p_hbar2_per_um2"), err.get("cond_var_p_hbar2_per_um2")),
         ("EPR product [hbar^2]", pred.get("epr_product_hbar2"),
          d.get("epr_product_hbar2"), err.get("epr_product_hbar2")),
-        ("mode count (position)", pred.get("mode_count"), d.get("d_pos"), err.get("d_pos")),
-        ("mode count (momentum)", pred.get("mode_count"), d.get("d_mom"), err.get("d_mom")),
+        ("mode count (position)", pred.get("d_pos"), d.get("d_pos"), err.get("d_pos")),
+        ("mode count (momentum)", pred.get("d_mom"), d.get("d_mom"), err.get("d_mom")),
         ("peak SNR (image)", None, d.get("snr_pos"), None),
         ("peak SNR (farfield)", None, d.get("snr_mom"), None),
     ]

@@ -35,7 +35,7 @@ def _ok(n: int, text: str) -> None:
 def test_criterion_1_analytic_predictions():
     cfg = RunConfig()
     t0 = time.perf_counter()
-    pred = predict(cfg.source(), cfg.optics(Plane.IMAGE), cfg.optics(Plane.FAR_FIELD))
+    pred = predict(cfg)
     dt = time.perf_counter() - t0
     d = pred.as_dict()
 

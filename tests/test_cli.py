@@ -6,7 +6,7 @@ import pytest
 
 from bpcam import RunConfig
 from bpcam.cli import OUTPUT_DIR_ENV, main
-from bpcam.model import Plane, predict
+from bpcam.model import predict
 
 
 def tiny_config() -> RunConfig:
@@ -42,9 +42,7 @@ def test_predict_table(capsys):
 def test_predict_json_matches_library(capsys):
     assert main(["predict", "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
-    cfg = RunConfig()
-    want = predict(cfg.source(), cfg.optics(Plane.IMAGE),
-                   cfg.optics(Plane.FAR_FIELD)).as_dict()
+    want = predict(RunConfig()).as_dict()
     assert set(got) == set(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value)
@@ -136,6 +134,14 @@ def test_unreadable_file_exits_1(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_that_is_not_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("{not json")
+    assert main(["report", "--report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
 
 
 def test_bad_config_values_exit_1_before_any_output(tmp_path, capsys):

@@ -129,6 +129,9 @@ def test_int_for_a_float_field_is_stored_as_float():
         dict(magnification=0.0),
         dict(qe=2.0),
         dict(smear_prob_farfield=1.5),
+        dict(readout_mean=float("nan")),
+        dict(snr_gate=float("nan")),  # would turn the verdict off silently
+        dict(sparse_threshold=-3),
     ],
 )
 def test_validation_rejects_bad_values(changes):

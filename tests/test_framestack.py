@@ -131,11 +131,12 @@ def test_writer_validation(tmp_path):
             wr.write(np.zeros((4, 4), dtype=bool))
 
 
-@pytest.mark.parametrize("changes", [dict(seed=-1), dict(seed=2**64), dict(shape=(3, 2**32))])
+@pytest.mark.parametrize("changes", [dict(seed=-1), dict(seed=2**64), dict(shape=(3, 2**32)),
+                                     dict(shape=(0, 3))])
 def test_header_overflow_is_refused_before_any_file(tmp_path, changes):
     """A seed or shape the header cannot hold leaves no temporary file behind."""
     kwargs = dict(kind=KIND_BINARY, plane=PLANE_IMAGE, shape=(3, 3), **ANON) | changes
-    with pytest.raises(ParameterError, match="header cannot hold"):
+    with pytest.raises(ParameterError, match="header cannot hold|degenerate frame shape"):
         StackWriter(tmp_path / "s.bpcm", **kwargs)
     assert list(tmp_path.iterdir()) == []
 
@@ -168,6 +169,12 @@ def test_header_corruption_detected(tmp_path):
     short.write_bytes(data[: HEADER_SIZE - 10])
     with pytest.raises(FrameFormatError, match="header"):
         StackReader(short)
+
+    # the header's own check, reported with the path
+    no_width = tmp_path / "width.bpcm"
+    no_width.write_bytes(data[:8] + struct.pack("<I", 0) + data[12:])
+    with pytest.raises(FrameFormatError, match=r"width\.bpcm: degenerate frame shape"):
+        StackReader(no_width)
 
 
 def test_writes_threshold_output(tmp_path):

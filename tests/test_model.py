@@ -10,6 +10,7 @@ from bpcam import (
     HEISENBERG_PRODUCT,
     OpticalSystem,
     Plane,
+    RunConfig,
     SourceParams,
     analytic_conditional_variances,
     predict,
@@ -17,6 +18,7 @@ from bpcam import (
     predicted_mode_count,
 )
 from bpcam.errors import ParameterError
+from bpcam.model import PIXEL_VAR_PAIR
 
 # frozen 64-bit evaluations of the closed forms at the default parameters
 SIGMA_MINUS = 11.337438463541575
@@ -26,6 +28,9 @@ MODE_COUNT = 3388.894003785703
 VAR_X = 128.49959305911594
 VAR_P = 2.2950068997373182e-06
 EPR_PRODUCT = 0.0002949074526841087
+# the mode counts as detected: coverage-corrected, pixel binning in the widths
+D_POS = 2896.196862953162
+D_MOM = 2951.010439821784
 
 
 def default_optics():
@@ -36,8 +41,7 @@ def default_optics():
 
 
 def test_default_predictions_match_frozen_values():
-    image, farfield = default_optics()
-    pred = predict(SourceParams(), image, farfield)
+    pred = predict(RunConfig())
     assert pred.sigma_minus_um == pytest.approx(SIGMA_MINUS, rel=1e-12)
     assert pred.sigma_plus_um == 660.0
     assert pred.sigma_pos_um == pytest.approx(SIGMA_POS, rel=1e-12)
@@ -46,9 +50,46 @@ def test_default_predictions_match_frozen_values():
     assert pred.cond_var_x_um2 == pytest.approx(VAR_X, rel=1e-12)
     assert pred.cond_var_p_hbar2_per_um2 == pytest.approx(VAR_P, rel=1e-12)
     assert pred.epr_product_hbar2 == pytest.approx(EPR_PRODUCT, rel=1e-12)
+    assert pred.d_pos == pytest.approx(D_POS, rel=1e-9)
+    assert pred.d_mom == pytest.approx(D_MOM, rel=1e-9)
     d = pred.as_dict()
     assert d["heisenberg_bound_hbar2"] == HEISENBERG_PRODUCT
     assert d["epr_product_hbar2"] == pred.epr_product_hbar2
+
+
+def test_detected_counts_are_binning_factors_times_criterion_7s_references():
+    """Criterion 7's references, (sigma_+ / sigma_-)^2 times the coverage
+    squared from the binning-free widths, are `predict`'s own counts for a
+    vanishing pixel over the same extent.  Binning keeps 0.950 of d_pos and
+    0.873 of d_mom, whose narrow width is 1.07 px."""
+    cfg = RunConfig()
+    pred = predict(cfg)
+    fine = predict(cfg.replace(pixel_pitch=cfg.pixel_pitch / 1000, roi_height=201_000,
+                               roi_width=201_000))
+    for key, binning_free, detected in (("d_pos", 3050, 0.950), ("d_mom", 3380, 0.873)):
+        reference = getattr(fine, key)
+        assert reference == pytest.approx(binning_free, rel=0.01)
+        assert getattr(pred, key) == pytest.approx(detected * reference, rel=0.005)
+    # the broad width as detected: M sigma_+ with the binning of a pair coordinate
+    assert pred.sigma_broad_image_um == pytest.approx(
+        math.hypot(cfg.magnification * pred.sigma_plus_um,
+                   math.sqrt(PIXEL_VAR_PAIR) * cfg.pixel_pitch), rel=1e-12)
+
+
+@pytest.mark.parametrize("key", ["d_pos", "d_mom"])
+def test_coverage_follows_each_axis_extent(key):
+    """On a 101 x 61 region the columns' coverage is that of 101 pixels and
+    the rows' that of 61, so the count is the geometric mean of the square
+    regions' counts, whichever way round the region lies."""
+    cfg = RunConfig()
+
+    def count(height, width):
+        return getattr(predict(cfg.replace(roi_height=height, roi_width=width)), key)
+
+    wide, tall, large, small = count(61, 101), count(101, 61), count(101, 101), count(61, 61)
+    assert small < wide < large
+    assert wide == pytest.approx(math.sqrt(large * small), rel=1e-12)
+    assert tall == pytest.approx(wide, rel=1e-12)
 
 
 def test_derived_source_widths():

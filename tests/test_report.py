@@ -28,6 +28,8 @@ def make_report(**overrides):
             "cond_var_p_hbar2_per_um2": 2.295e-6,
             "epr_product_hbar2": 2.949e-4,
             "mode_count": 3388.9,
+            "d_pos": 2896.2,
+            "d_mom": 2951.0,
         },
         n_frames={"image": 100, "farfield": 100},
         occupancy={"image": 0.039, "farfield": 0.039},
@@ -61,6 +63,22 @@ def test_format_report_contains_the_verdict_and_rows():
     calm = format_report(make_report(epr_violated=False, detail={}))
     assert "EPR violation: no" in calm
     assert "note:" not in calm
+
+
+def test_format_report_predicts_the_mode_counts_as_detected():
+    """The "predicted" mode counts are `predict`'s d_pos and d_mom, not the
+    binning-free mode_count; a saved report without them prints "-"."""
+    def mode_rows(report):
+        return [line.split() for line in format_report(report).splitlines()
+                if line.startswith("mode count")]
+
+    assert mode_rows(make_report()) == [
+        ["mode", "count", "(position)", "2896.2", "2743"],
+        ["mode", "count", "(momentum)", "2951", "2623"],
+    ]
+    old = json.loads(make_report().to_json())
+    del old["prediction"]["d_pos"], old["prediction"]["d_mom"]
+    assert [row[3] for row in mode_rows(old)] == ["-", "-"]
 
 
 def test_format_report_accepts_plain_dicts():
